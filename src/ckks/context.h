@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 
 #include "ckks/params.h"
 #include "ring/poly.h"
@@ -93,6 +94,11 @@ class CkksContext
     /** merged_inv[lvl][i] = (P*q_(lvl-1))^{-1} mod q_i (i < lvl-1). */
     std::vector<std::vector<u64>> merged_inv;
 
+    /** Guards the three converter caches, which are filled on first use
+     *  and may be reached from several threads at once. std::map nodes
+     *  never move, so references handed out stay valid after the lock
+     *  is released. */
+    mutable std::mutex converter_mutex;
     mutable std::map<std::pair<size_t, size_t>,
                      std::unique_ptr<BasisConverter>> modup_cache;
     mutable std::map<size_t, std::unique_ptr<BasisConverter>> moddown_cache;

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "memtrace/trace.h"
+#include "rns/simd/simd.h"
 #include "support/faultinject.h"
 #include "support/parallel.h"
 #include "telemetry/telemetry.h"
@@ -54,6 +55,30 @@ notePeakResident(size_t bytes)
     }
     TELEM_GAUGE_SET("stream.peak_resident_bytes", std::max(b, cur));
 }
+
+/** Operand tables of one MAC kernel call: digit limbs d[j] and the
+ *  switching key's b/a limbs at the same chain index. */
+struct MacOperands
+{
+    explicit MacOperands(size_t beta) : d(beta), b(beta), a(beta) {}
+
+    std::vector<const u64*> d, b, a;
+};
+
+/** Per-chunk buffers of the streaming engine: the MAC operand tables
+ *  plus `limbs` scratch limbs of n coefficients each. */
+struct StreamScratch : MacOperands
+{
+    StreamScratch(size_t beta, size_t n, size_t limbs)
+        : MacOperands(beta), buf(limbs * n), n(n)
+    {
+    }
+
+    u64* limb(size_t i) { return buf.data() + i * n; }
+
+    std::vector<u64> buf;
+    size_t n;
+};
 } // namespace
 
 KeySwitcher::KeySwitcher(std::shared_ptr<const CkksContext> ctx_)
@@ -169,29 +194,30 @@ KeySwitcher::innerProduct(const std::vector<RnsPoly>& digits,
     // event, just grouped by position.
     MAD_TRACE_SCOPE("KskInnerProd");
     TELEM_SPAN("KskInnerProd");
-    parallelFor(raised_basis.size(), [&](size_t i) {
-        const u32 chain_idx = raised_basis[i];
-        const Modulus& q = ctx->ring()->modulus(chain_idx);
-        u64* u = out.c0.limb(i);
-        u64* v = out.c1.limb(i);
-        for (size_t j = 0; j < digits.size(); ++j) {
-            const RnsPoly& d = digits[j];
-            // The key basis is the identity chain, so limb position ==
-            // chain index in the switching-key polynomials.
-            const u64* dl = d.limb(i);
-            const u64* bl = ksk.b(j).limb(chain_idx);
-            const u64* al = ksk.a(j).limb(chain_idx);
-            MAD_TRACE_READ(dl, n * sizeof(u64));
-            MAD_TRACE_READ(bl, n * sizeof(u64));
-            MAD_TRACE_READ(al, n * sizeof(u64));
-            MAD_TRACE_READ(u, n * sizeof(u64));
-            MAD_TRACE_READ(v, n * sizeof(u64));
-            MAD_TRACE_WRITE(u, n * sizeof(u64));
-            MAD_TRACE_WRITE(v, n * sizeof(u64));
-            for (size_t c = 0; c < n; ++c) {
-                u[c] = q.add(u[c], q.mul(dl[c], bl[c]));
-                v[c] = q.add(v[c], q.mul(dl[c], al[c]));
+    const auto& K = simd::kernels();
+    parallelForRange(raised_basis.size(), [&](size_t begin, size_t end) {
+        MacOperands ops(digits.size());
+        for (size_t i = begin; i < end; ++i) {
+            const u32 chain_idx = raised_basis[i];
+            u64* u = out.c0.limb(i);
+            u64* v = out.c1.limb(i);
+            for (size_t j = 0; j < digits.size(); ++j) {
+                // The key basis is the identity chain, so limb position
+                // == chain index in the switching-key polynomials.
+                ops.d[j] = digits[j].limb(i);
+                ops.b[j] = ksk.b(j).limb(chain_idx);
+                ops.a[j] = ksk.a(j).limb(chain_idx);
+                MAD_TRACE_READ(ops.d[j], n * sizeof(u64));
+                MAD_TRACE_READ(ops.b[j], n * sizeof(u64));
+                MAD_TRACE_READ(ops.a[j], n * sizeof(u64));
+                MAD_TRACE_READ(u, n * sizeof(u64));
+                MAD_TRACE_READ(v, n * sizeof(u64));
+                MAD_TRACE_WRITE(u, n * sizeof(u64));
+                MAD_TRACE_WRITE(v, n * sizeof(u64));
             }
+            K.mac(ops.d.data(), ops.b.data(), ops.a.data(), digits.size(),
+                  nullptr, nullptr, 0, n,
+                  simd::foldFor(ctx->ring()->modulus(chain_idx)), u, v);
         }
     });
     // Limb-sum spot check after the inner product: the accumulated (u, v)
@@ -435,6 +461,11 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
     memtrace::TraceScope scope(streamScopeName(policy));
     telemetry::Span span(streamScopeName(policy));
 
+    // Each digit's ModUp converter, resolved once outside the pool.
+    std::vector<const BasisConverter*> up_conv(beta);
+    for (size_t j = 0; j < beta; ++j)
+        up_conv[j] = &ctx->modUpConverter(j, level);
+
     // --- Digit-source state -------------------------------------------
     // Fuse materializes the coefficient-rep spine exactly like the
     // materializing Decomp; Cache/Full pin pre-scaled sources instead.
@@ -442,9 +473,14 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
     std::vector<std::vector<std::vector<u64>>> scaled;
     std::vector<std::vector<u64>> us;
     std::vector<std::vector<const u64*>> scaled_ptrs(beta);
+    // Fuse: each digit's coefficient-rep source limbs.
+    std::vector<std::vector<const u64*>> fuse_src(beta);
     if (policy == StreamPolicy::Fuse) {
         x_coeff.emplace(x);
         x_coeff->toCoeff();
+        for (size_t j = 0; j < beta; ++j)
+            for (size_t s = 0; s < ctx->digitSize(j, level); ++s)
+                fuse_src[j].push_back(x_coeff->limb(ctx->digitStart(j) + s));
     } else {
         scaled.resize(beta);
         us.assign(beta, std::vector<u64>(n));
@@ -462,13 +498,12 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
             MAD_TRACE_READ(x.limb(l), limb_bytes);
             std::copy(x.limb(l), x.limb(l) + n, dst);
             ctx->ring()->ntt(raised_basis[l]).inverseRaw(dst);
-            ctx->modUpConverter(j, level).scaleSourceRaw(dst, n, i, dst);
+            up_conv[j]->scaleSourceRaw(dst, n, i, dst);
         });
         for (size_t j = 0; j < beta; ++j) {
             for (auto& limb : scaled[j])
                 scaled_ptrs[j].push_back(limb.data());
-            ctx->modUpConverter(j, level)
-                .overshootRaw(scaled_ptrs[j], n, us[j].data());
+            up_conv[j]->overshootRaw(scaled_ptrs[j], n, us[j].data());
             for (auto& limb : scaled[j])
                 faultinject::guardLimb(g_fault_stream, limb.data(), n);
         }
@@ -492,63 +527,54 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
         }
     }
 
-    // MAC one raised position into (uacc, vacc): digit contributions in
-    // ascending-j order (bit-identical to the materializing
-    // innerProduct), then the optional merged P-lift — the same
-    // per-coefficient op sequence RnsPoly::add(pModUp(d)) produces.
-    auto macPosition = [&](size_t i, u64* uacc, u64* vacc, u64* scratch) {
+    // MAC one raised position into (uacc, vacc): the digits in
+    // ascending-j order plus the optional merged P-lift, in one MAC
+    // kernel call. Each converted digit limb gets its own scratch limb
+    // so the kernel reads all beta of them in one pass; trace events
+    // follow the per-digit order of the materializing innerProduct.
+    const auto& K = simd::kernels();
+    auto macPosition = [&](size_t i, u64* uacc, u64* vacc,
+                           StreamScratch& s) {
         const u32 chain_idx = raised_basis[i];
-        const Modulus& q = ctx->ring()->modulus(chain_idx);
-        std::fill(uacc, uacc + n, 0);
-        std::fill(vacc, vacc + n, 0);
         for (size_t j = 0; j < beta; ++j) {
-            const u64* dl;
             if (conv_idx[j][i] == npos) {
-                dl = x.limb(chain_idx);
-                MAD_TRACE_READ(dl, limb_bytes);
+                s.d[j] = x.limb(chain_idx);
+                MAD_TRACE_READ(s.d[j], limb_bytes);
             } else {
-                const BasisConverter& conv = ctx->modUpConverter(j, level);
+                u64* dl = s.limb(j);
                 if (policy == StreamPolicy::Fuse) {
-                    const size_t start = ctx->digitStart(j);
-                    const size_t size = ctx->digitSize(j, level);
-                    std::vector<const u64*> src;
-                    src.reserve(size);
-                    for (size_t s = 0; s < size; ++s) {
-                        MAD_TRACE_READ(x_coeff->limb(start + s), limb_bytes);
-                        src.push_back(x_coeff->limb(start + s));
-                    }
-                    conv.convertLimbRaw(src, n, conv_idx[j][i], scratch);
+                    for (size_t t = 0; t < fuse_src[j].size(); ++t)
+                        MAD_TRACE_READ(fuse_src[j][t], limb_bytes);
+                    up_conv[j]->convertLimbRaw(fuse_src[j], n,
+                                               conv_idx[j][i], dl);
                 } else {
-                    conv.accumulateScaledRaw(scaled_ptrs[j], us[j].data(), n,
-                                             conv_idx[j][i], scratch);
+                    up_conv[j]->accumulateScaledRaw(scaled_ptrs[j],
+                                                    us[j].data(), n,
+                                                    conv_idx[j][i], dl);
                 }
-                ctx->ring()->ntt(chain_idx).forwardRaw(scratch);
-                dl = scratch;
+                ctx->ring()->ntt(chain_idx).forwardRaw(dl);
+                s.d[j] = dl;
             }
-            const u64* bl = ksk.b(j).limb(chain_idx);
-            const u64* al = ksk.a(j).limb(chain_idx);
-            MAD_TRACE_READ(bl, limb_bytes);
-            MAD_TRACE_READ(al, limb_bytes);
-            for (size_t c = 0; c < n; ++c) {
-                uacc[c] = q.add(uacc[c], q.mul(dl[c], bl[c]));
-                vacc[c] = q.add(vacc[c], q.mul(dl[c], al[c]));
-            }
+            s.b[j] = ksk.b(j).limb(chain_idx);
+            s.a[j] = ksk.a(j).limb(chain_idx);
+            MAD_TRACE_READ(s.b[j], limb_bytes);
+            MAD_TRACE_READ(s.a[j], limb_bytes);
         }
+        // PModUp fused into the accumulation; its P limbs are
+        // identically zero (Algorithm 5, line 3), so only Q positions
+        // carry the lift.
+        const u64* l0 = nullptr;
+        const u64* l1 = nullptr;
+        u64 p_mod = 0;
         if (merged && chain_idx < level) {
-            // PModUp fused into the accumulation; its P limbs are
-            // identically zero (Algorithm 5, line 3), so only Q
-            // positions carry the lift.
-            const u64 p_mod = ctx->pModQ(chain_idx);
-            const u64 p_shoup = q.shoupPrecompute(p_mod);
-            const u64* l0 = lift0->limb(chain_idx);
-            const u64* l1 = lift1->limb(chain_idx);
+            p_mod = ctx->pModQ(chain_idx);
+            l0 = lift0->limb(chain_idx);
+            l1 = lift1->limb(chain_idx);
             MAD_TRACE_READ(l0, limb_bytes);
             MAD_TRACE_READ(l1, limb_bytes);
-            for (size_t c = 0; c < n; ++c) {
-                uacc[c] = q.add(uacc[c], q.mulShoup(l0[c], p_mod, p_shoup));
-                vacc[c] = q.add(vacc[c], q.mulShoup(l1[c], p_mod, p_shoup));
-            }
         }
+        K.mac(s.d.data(), s.b.data(), s.a.data(), beta, l0, l1, p_mod, n,
+              simd::foldFor(ctx->ring()->modulus(chain_idx)), uacc, vacc);
     };
 
     const BasisConverter& down_conv =
@@ -576,20 +602,24 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
         for (auto& limb : dropc)
             faultinject::guardLimb(g_fault_stream, limb.data(), n);
         RnsPoly out(rx.context(), ctx->ring()->qIndices(kept), Rep::Eval);
-        parallelFor(kept, [&](size_t i) {
-            const Modulus& q = ctx->ring()->modulus(i);
+        parallelForRange(kept, [&](size_t begin, size_t end) {
             std::vector<u64> corr(n);
-            down_conv.accumulateScaledRaw(dp, usd.data(), n, i, corr.data());
-            ctx->ring()->ntt(i).forwardRaw(corr.data());
-            const u64 inv = merged ? ctx->mergedInv(level, i)
-                                   : ctx->pInvModQ(i);
-            const u64 inv_shoup = q.shoupPrecompute(inv);
-            const u64* xi = rx.limb(i);
-            u64* oi = out.limb(i);
-            MAD_TRACE_READ(xi, limb_bytes);
-            MAD_TRACE_WRITE(oi, limb_bytes);
-            for (size_t c = 0; c < n; ++c)
-                oi[c] = q.mulShoup(q.sub(xi[c], corr[c]), inv, inv_shoup);
+            for (size_t i = begin; i < end; ++i) {
+                const Modulus& q = ctx->ring()->modulus(i);
+                down_conv.accumulateScaledRaw(dp, usd.data(), n, i,
+                                              corr.data());
+                ctx->ring()->ntt(i).forwardRaw(corr.data());
+                const u64 inv = merged ? ctx->mergedInv(level, i)
+                                       : ctx->pInvModQ(i);
+                const u64 inv_shoup = q.shoupPrecompute(inv);
+                const u64* xi = rx.limb(i);
+                u64* oi = out.limb(i);
+                MAD_TRACE_READ(xi, limb_bytes);
+                MAD_TRACE_WRITE(oi, limb_bytes);
+                for (size_t c = 0; c < n; ++c)
+                    oi[c] = q.mulShoup(q.sub(xi[c], corr[c]), inv,
+                                       inv_shoup);
+            }
         });
         for (size_t i = 0; i < kept; ++i)
             faultinject::guardLimb(g_fault_stream, out.limb(i), n);
@@ -603,11 +633,13 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
         // each limb is produced by one fused pass and written once.
         RnsPoly ru(x.context(), raised_basis, Rep::Eval);
         RnsPoly rv(x.context(), raised_basis, Rep::Eval);
-        parallelFor(r, [&](size_t i) {
-            std::vector<u64> scratch(n);
-            macPosition(i, ru.limb(i), rv.limb(i), scratch.data());
-            MAD_TRACE_WRITE(ru.limb(i), limb_bytes);
-            MAD_TRACE_WRITE(rv.limb(i), limb_bytes);
+        parallelForRange(r, [&](size_t begin, size_t end) {
+            StreamScratch s(beta, n, beta);
+            for (size_t i = begin; i < end; ++i) {
+                macPosition(i, ru.limb(i), rv.limb(i), s);
+                MAD_TRACE_WRITE(ru.limb(i), limb_bytes);
+                MAD_TRACE_WRITE(rv.limb(i), limb_bytes);
+            }
         });
         TELEM_COUNT("stream.limbs_fused", 2 * r);
         if (policy == StreamPolicy::Cache)
@@ -630,15 +662,20 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
     std::vector<std::vector<u64>> dropu(dropn, std::vector<u64>(n));
     std::vector<std::vector<u64>> dropv(dropn, std::vector<u64>(n));
     std::vector<u64> usu(n), usv(n);
-    parallelFor(dropn, [&](size_t d) {
-        const size_t pos = kept + d;
-        const u32 chain_idx = raised_basis[pos];
-        std::vector<u64> uacc(n), vacc(n), scratch(n);
-        macPosition(pos, uacc.data(), vacc.data(), scratch.data());
-        ctx->ring()->ntt(chain_idx).inverseRaw(uacc.data());
-        ctx->ring()->ntt(chain_idx).inverseRaw(vacc.data());
-        down_conv.scaleSourceRaw(uacc.data(), n, d, dropu[d].data());
-        down_conv.scaleSourceRaw(vacc.data(), n, d, dropv[d].data());
+    parallelForRange(dropn, [&](size_t begin, size_t end) {
+        // (u, v) overwrite the digit limbs they are computed from.
+        StreamScratch s(beta, n, std::max<size_t>(beta, 2));
+        u64* uacc = s.limb(0);
+        u64* vacc = s.limb(1);
+        for (size_t d = begin; d < end; ++d) {
+            const size_t pos = kept + d;
+            const u32 chain_idx = raised_basis[pos];
+            macPosition(pos, uacc, vacc, s);
+            ctx->ring()->ntt(chain_idx).inverseRaw(uacc);
+            ctx->ring()->ntt(chain_idx).inverseRaw(vacc);
+            down_conv.scaleSourceRaw(uacc, n, d, dropu[d].data());
+            down_conv.scaleSourceRaw(vacc, n, d, dropv[d].data());
+        }
     });
     std::vector<const u64*> dpu, dpv;
     for (size_t d = 0; d < dropn; ++d) {
@@ -656,24 +693,32 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
     // subtract-and-scale fused into one output write per limb.
     RnsPoly ou(x.context(), ctx->ring()->qIndices(kept), Rep::Eval);
     RnsPoly ov(x.context(), ctx->ring()->qIndices(kept), Rep::Eval);
-    parallelFor(kept, [&](size_t i) {
-        const Modulus& q = ctx->ring()->modulus(i);
-        std::vector<u64> uacc(n), vacc(n), scratch(n), corr(n);
-        macPosition(i, uacc.data(), vacc.data(), scratch.data());
-        const u64 inv = merged ? ctx->mergedInv(level, i) : ctx->pInvModQ(i);
-        const u64 inv_shoup = q.shoupPrecompute(inv);
-        u64* ui = ou.limb(i);
-        u64* vi = ov.limb(i);
-        down_conv.accumulateScaledRaw(dpu, usu.data(), n, i, corr.data());
-        ctx->ring()->ntt(i).forwardRaw(corr.data());
-        MAD_TRACE_WRITE(ui, limb_bytes);
-        for (size_t c = 0; c < n; ++c)
-            ui[c] = q.mulShoup(q.sub(uacc[c], corr[c]), inv, inv_shoup);
-        down_conv.accumulateScaledRaw(dpv, usv.data(), n, i, corr.data());
-        ctx->ring()->ntt(i).forwardRaw(corr.data());
-        MAD_TRACE_WRITE(vi, limb_bytes);
-        for (size_t c = 0; c < n; ++c)
-            vi[c] = q.mulShoup(q.sub(vacc[c], corr[c]), inv, inv_shoup);
+    parallelForRange(kept, [&](size_t begin, size_t end) {
+        // (u, v) overwrite the digit limbs they are computed from, and
+        // the correction takes the next digit limb, dead after the MAC.
+        StreamScratch s(beta, n, std::max<size_t>(beta, 3));
+        u64* uacc = s.limb(0);
+        u64* vacc = s.limb(1);
+        u64* corr = s.limb(2);
+        for (size_t i = begin; i < end; ++i) {
+            const Modulus& q = ctx->ring()->modulus(i);
+            macPosition(i, uacc, vacc, s);
+            const u64 inv =
+                merged ? ctx->mergedInv(level, i) : ctx->pInvModQ(i);
+            const u64 inv_shoup = q.shoupPrecompute(inv);
+            u64* ui = ou.limb(i);
+            u64* vi = ov.limb(i);
+            down_conv.accumulateScaledRaw(dpu, usu.data(), n, i, corr);
+            ctx->ring()->ntt(i).forwardRaw(corr);
+            MAD_TRACE_WRITE(ui, limb_bytes);
+            for (size_t c = 0; c < n; ++c)
+                ui[c] = q.mulShoup(q.sub(uacc[c], corr[c]), inv, inv_shoup);
+            down_conv.accumulateScaledRaw(dpv, usv.data(), n, i, corr);
+            ctx->ring()->ntt(i).forwardRaw(corr);
+            MAD_TRACE_WRITE(vi, limb_bytes);
+            for (size_t c = 0; c < n; ++c)
+                vi[c] = q.mulShoup(q.sub(vacc[c], corr[c]), inv, inv_shoup);
+        }
     });
     TELEM_COUNT("stream.limbs_fused", 2 * r);
     TELEM_COUNT("stream.digit_cache.hits", (beta * r - level) + 2 * kept);

@@ -1,5 +1,6 @@
 #include "rns/basis.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "memtrace/trace.h"
@@ -64,7 +65,7 @@ BasisConverter::BasisConverter(const RnsBasis& from_, const RnsBasis& to_)
                     "source and target bases must be disjoint");
 
     punctured_mod.resize(to.size());
-    q_mod_target.resize(to.size());
+    targets.resize(to.size());
     for (size_t j = 0; j < to.size(); ++j) {
         const Modulus& pj = to[j];
         punctured_mod[j].resize(from.size());
@@ -77,49 +78,54 @@ BasisConverter::BasisConverter(const RnsBasis& from_, const RnsBasis& to_)
             }
             punctured_mod[j][i] = prod;
         }
-        q_mod_target[j] = from.productMod(pj);
+        const u64 q_mod = from.productMod(pj);
+        targets[j] = {simd::foldFor(pj), q_mod, pj.shoupPrecompute(q_mod)};
     }
     inv_q.resize(from.size());
     for (size_t i = 0; i < from.size(); ++i)
         inv_q[i] = 1.0L / static_cast<long double>(from[i].value());
-
-    r64_target.resize(to.size());
-    r64_shoup_target.resize(to.size());
-    pre1_target.resize(to.size());
-    for (size_t j = 0; j < to.size(); ++j) {
-        const Modulus& pj = to[j];
-        r64_target[j] = pj.reduce128(static_cast<u128>(1) << 64);
-        r64_shoup_target[j] = pj.shoupPrecompute(r64_target[j]);
-        pre1_target[j] = pj.shoupPrecompute(1);
-    }
 }
 
 namespace {
 
+/** Coefficients per scale/overshoot block: k scaled residue rows of
+ *  this length stay cache-resident while every target limb reads them. */
+constexpr size_t kBlock = 512;
+
 /**
- * Accumulate sum_i scaled[i] * punct[i] mod p with lazy 128-bit carries.
+ * Scale pass and overshoot of Equation (1) over [0, n), fanned out over
+ * the pool in kBlock-coefficient blocks; each block is handed to
+ * emit(scaled, us, c, len): scaled[i] points at the block's scaled
+ * residues of source limb i, `us` at its overshoot counts (null under
+ * ConvMode::Approx), covering coefficients [c, c + len).
  */
-u64
-accumulate(const u64* scaled, const u64* punct, size_t k, const Modulus& p)
+template <typename Emit>
+void
+forEachScaledBlock(const BasisConverter& conv,
+                   const std::vector<const u64*>& in, size_t n,
+                   ConvMode mode, Emit&& emit)
 {
-    // Flush every 16 terms, not more: each product is below 2^124 for
-    // moduli up to the 2^62 cap, so 16 of them stay under 2^128 while a
-    // 32-term window would silently wrap the 128-bit accumulator for
-    // primes within two bits of the cap.
-    u128 acc = 0;
-    size_t pending = 0;
-    u64 result = 0;
-    for (size_t i = 0; i < k; ++i) {
-        acc += static_cast<u128>(scaled[i]) * punct[i];
-        if (++pending == 16) {
-            result = p.add(result, p.reduce128(acc));
-            acc = 0;
-            pending = 0;
+    const size_t k = in.size();
+    parallelForRange(n, [&](size_t begin, size_t end) {
+        const size_t cap = std::min(kBlock, end - begin);
+        std::vector<u64> buf((k + 1) * cap);
+        std::vector<const u64*> scaled(k);
+        u64* us = buf.data() + k * cap;
+        for (size_t c = begin; c < end; c += kBlock) {
+            const size_t len = std::min(kBlock, end - c);
+            for (size_t i = 0; i < k; ++i) {
+                u64* dst = buf.data() + i * cap;
+                conv.scaleSourceRaw(in[i] + c, len, i, dst);
+                scaled[i] = dst;
+            }
+            if (mode == ConvMode::SignedExact) {
+                conv.overshootRaw(scaled, len, us);
+                emit(scaled, us, c, len);
+            } else {
+                emit(scaled, nullptr, c, len);
+            }
         }
-    }
-    if (pending)
-        result = p.add(result, p.reduce128(acc));
-    return result;
+    });
 }
 
 } // namespace
@@ -143,71 +149,14 @@ BasisConverter::convertLimbRaw(const std::vector<const u64*>& in, size_t n,
                                ConvMode mode) const
 {
     MAD_CHECK(in.size() == from.size(), "source limb count mismatch");
-    const Modulus& pj = to[target_idx];
-    const size_t k = from.size();
-
-    // Scale pass is recomputed per target limb to keep this entry point
-    // stateless; convert() amortizes it across all target limbs.
-    // Coefficients are independent, so split the index range across the
-    // pool; each chunk carries its own scale scratch. Vector backends
-    // process lane-width coefficient blocks: a k x W row-major scratch of
-    // scaled residues feeds the newlimb_acc kernel, with the long-double
-    // overshoot sum kept scalar and i-ascending so its rounding matches
-    // the scalar path bit-for-bit.
-    const auto& K = simd::kernels();
-    const size_t W = K.lanes;
-    parallelForRange(n, [&](size_t begin, size_t end) {
-        size_t c = begin;
-        if (W > 1) {
-            std::vector<u64> rows(k * W);
-            std::vector<u64> res(W);
-            for (; c + W <= end; c += W) {
-                for (size_t i = 0; i < k; ++i)
-                    K.mul_shoup_scalar(rows.data() + i * W, in[i] + c, W,
-                                       from.invPunctured(i),
-                                       from.invPuncturedShoup(i),
-                                       from[i].value());
-                K.newlimb_acc(rows.data(), W,
-                              punctured_mod[target_idx].data(), k,
-                              pj.value(), r64_target[target_idx],
-                              r64_shoup_target[target_idx],
-                              pre1_target[target_idx], res.data());
-                for (size_t l = 0; l < W; ++l) {
-                    u64 result = res[l];
-                    if (mode == ConvMode::SignedExact) {
-                        long double frac = 0.5L;
-                        for (size_t i = 0; i < k; ++i)
-                            frac += static_cast<long double>(rows[i * W + l]) *
-                                    inv_q[i];
-                        u64 u = static_cast<u64>(frac);
-                        result = pj.sub(result, pj.mul(pj.reduce(u),
-                                                 q_mod_target[target_idx]));
-                    }
-                    out[c + l] = result;
-                }
-            }
-        }
-        std::vector<u64> scaled(k);
-        for (; c < end; ++c) {
-            long double frac = 0.5L;
-            for (size_t i = 0; i < k; ++i) {
-                scaled[i] = from[i].mulShoup(in[i][c], from.invPunctured(i),
-                                             from.invPuncturedShoup(i));
-                frac += static_cast<long double>(scaled[i]) * inv_q[i];
-            }
-            u64 result = accumulate(scaled.data(),
-                                    punctured_mod[target_idx].data(), k, pj);
-            if (mode == ConvMode::SignedExact) {
-                // Subtract round(x/Q)*Q: sum_i scaled_i*Q_i^* = x + u*Q with
-                // u = floor(sum_i scaled_i/q_i); rounding the centered value
-                // means subtracting floor(sum + 0.5) copies of Q.
-                u64 u = static_cast<u64>(frac);
-                result = pj.sub(result,
-                                pj.mul(pj.reduce(u), q_mod_target[target_idx]));
-            }
-            out[c] = result;
-        }
-    });
+    // The scale pass is recomputed per target limb to keep this entry
+    // point stateless; convert() amortizes it across all target limbs.
+    forEachScaledBlock(*this, in, n, mode,
+                       [&](const std::vector<const u64*>& scaled,
+                           const u64* us, size_t c, size_t len) {
+                           accumulateScaledRaw(scaled, us, len, target_idx,
+                                               out + c);
+                       });
 }
 
 void
@@ -230,8 +179,8 @@ BasisConverter::overshootRaw(const std::vector<const u64*>& scaled, size_t n,
 {
     const size_t k = from.size();
     MAD_CHECK(scaled.size() == k, "source limb count mismatch");
-    // Kept scalar and i-ascending so the long-double rounding matches
-    // the in-convert overshoot sum bit-for-bit.
+    // Kept scalar and i-ascending: the long-double rounding decides
+    // us, so every backend and entry point must sum in this order.
     for (size_t c = 0; c < n; ++c) {
         long double frac = 0.5L;
         for (size_t i = 0; i < k; ++i)
@@ -245,43 +194,10 @@ BasisConverter::accumulateScaledRaw(const std::vector<const u64*>& scaled,
                                     const u64* us, size_t n,
                                     size_t target_idx, u64* out) const
 {
-    const size_t k = from.size();
-    MAD_CHECK(scaled.size() == k, "source limb count mismatch");
-    const Modulus& pj = to[target_idx];
-    const auto& K = simd::kernels();
-    const size_t W = K.lanes;
-    size_t c = 0;
-    if (W > 1) {
-        std::vector<u64> rows(k * W);
-        std::vector<u64> res(W);
-        for (; c + W <= n; c += W) {
-            for (size_t i = 0; i < k; ++i)
-                for (size_t l = 0; l < W; ++l)
-                    rows[i * W + l] = scaled[i][c + l];
-            K.newlimb_acc(rows.data(), W, punctured_mod[target_idx].data(),
-                          k, pj.value(), r64_target[target_idx],
-                          r64_shoup_target[target_idx],
-                          pre1_target[target_idx], res.data());
-            for (size_t l = 0; l < W; ++l) {
-                u64 result = res[l];
-                if (us != nullptr)
-                    result = pj.sub(result, pj.mul(pj.reduce(us[c + l]),
-                                                   q_mod_target[target_idx]));
-                out[c + l] = result;
-            }
-        }
-    }
-    std::vector<u64> sc(k);
-    for (; c < n; ++c) {
-        for (size_t i = 0; i < k; ++i)
-            sc[i] = scaled[i][c];
-        u64 result = accumulate(sc.data(), punctured_mod[target_idx].data(),
-                                k, pj);
-        if (us != nullptr)
-            result = pj.sub(result,
-                            pj.mul(pj.reduce(us[c]), q_mod_target[target_idx]));
-        out[c] = result;
-    }
+    MAD_CHECK(scaled.size() == from.size(), "source limb count mismatch");
+    simd::kernels().newlimb(scaled.data(), scaled.size(), us, n,
+                            punctured_mod[target_idx].data(),
+                            targets[target_idx], out);
 }
 
 void
@@ -300,70 +216,16 @@ BasisConverter::convert(const std::vector<const u64*>& in, size_t n,
     for (size_t j = 0; j < out.size(); ++j)
         MAD_TRACE_WRITE(out[j], n * sizeof(u64));
 
-    // Process coefficient-by-coefficient (slot-wise access pattern): scale
-    // each source residue once, then accumulate into every target limb.
-    // Coefficient ranges are independent, so they fan out across the pool.
-    // Vector backends work on lane-width coefficient blocks through the
-    // same k x W scratch as convertLimb, reusing it across all targets.
-    const auto& K = simd::kernels();
-    const size_t W = K.lanes;
-    parallelForRange(n, [&](size_t begin, size_t end) {
-        size_t c = begin;
-        if (W > 1) {
-            std::vector<u64> rows(k * W);
-            std::vector<u64> res(W);
-            std::vector<u64> us(W);
-            for (; c + W <= end; c += W) {
-                for (size_t i = 0; i < k; ++i)
-                    K.mul_shoup_scalar(rows.data() + i * W, in[i] + c, W,
-                                       from.invPunctured(i),
-                                       from.invPuncturedShoup(i),
-                                       from[i].value());
-                for (size_t l = 0; l < W; ++l) {
-                    long double frac = 0.5L;
-                    for (size_t i = 0; i < k; ++i)
-                        frac += static_cast<long double>(rows[i * W + l]) *
-                                inv_q[i];
-                    us[l] = static_cast<u64>(frac);
-                }
-                for (size_t j = 0; j < to.size(); ++j) {
-                    const Modulus& pj = to[j];
-                    K.newlimb_acc(rows.data(), W, punctured_mod[j].data(),
-                                  k, pj.value(), r64_target[j],
-                                  r64_shoup_target[j], pre1_target[j],
-                                  res.data());
-                    for (size_t l = 0; l < W; ++l) {
-                        u64 result = res[l];
-                        if (mode == ConvMode::SignedExact) {
-                            result = pj.sub(result, pj.mul(pj.reduce(us[l]),
-                                                     q_mod_target[j]));
-                        }
-                        out[j][c + l] = result;
-                    }
-                }
-            }
-        }
-        std::vector<u64> scaled(k);
-        for (; c < end; ++c) {
-            long double frac = 0.5L;
-            for (size_t i = 0; i < k; ++i) {
-                scaled[i] = from[i].mulShoup(in[i][c], from.invPunctured(i),
-                                             from.invPuncturedShoup(i));
-                frac += static_cast<long double>(scaled[i]) * inv_q[i];
-            }
-            u64 u = static_cast<u64>(frac);
-            for (size_t j = 0; j < to.size(); ++j) {
-                const Modulus& pj = to[j];
-                u64 result = accumulate(scaled.data(), punctured_mod[j].data(),
-                                        k, pj);
-                if (mode == ConvMode::SignedExact) {
-                    result = pj.sub(result,
-                                    pj.mul(pj.reduce(u), q_mod_target[j]));
-                }
-                out[j][c] = result;
-            }
-        }
-    });
+    // Slot-wise access pattern: scale each source block once, then
+    // accumulate it into every target limb. Coefficient ranges are
+    // independent, so they fan out across the pool.
+    forEachScaledBlock(*this, in, n, mode,
+                       [&](const std::vector<const u64*>& scaled,
+                           const u64* us, size_t c, size_t len) {
+                           for (size_t j = 0; j < out.size(); ++j)
+                               accumulateScaledRaw(scaled, us, len, j,
+                                                   out[j] + c);
+                       });
     for (size_t j = 0; j < out.size(); ++j)
         faultinject::guardLimb(g_fault_basis, out[j], n);
 }

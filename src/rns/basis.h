@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "rns/modarith.h"
+#include "rns/simd/simd.h"
 
 namespace madfhe {
 
@@ -124,7 +125,9 @@ class BasisConverter
      * Accumulate pre-scaled residues into target limb `target_idx`:
      * out[c] = sum_i scaled[i][c] * (Q/q_i) mod p_j, minus us[c] * Q
      * when `us` is non-null (ConvMode::SignedExact); pass nullptr for
-     * ConvMode::Approx. No trace events or guards.
+     * ConvMode::Approx. One call of the whole-limb NewLimb kernel; no
+     * trace events or guards. convert() and convertLimbRaw() produce
+     * every target limb through this function.
      */
     void accumulateScaledRaw(const std::vector<const u64*>& scaled,
                              const u64* us, size_t n, size_t target_idx,
@@ -135,15 +138,12 @@ class BasisConverter
     RnsBasis to;
     /** punctured_mod[j][i] = (Q/q_i) mod p_j. */
     std::vector<std::vector<u64>> punctured_mod;
-    /** Q mod p_j, for the overshoot correction. */
-    std::vector<u64> q_mod_target;
     /** 1/q_i as long double, for the overshoot estimate. */
     std::vector<long double> inv_q;
-    /** 2^64 mod p_j, its Shoup preconditioner, and floor(2^64 / p_j):
-     *  the 128-bit folding constants the SIMD NewLimb accumulator uses. */
-    std::vector<u64> r64_target;
-    std::vector<u64> r64_shoup_target;
-    std::vector<u64> pre1_target;
+    /** Per-target NewLimb kernel constants: p_j's fold constants and
+     *  Q mod p_j (with its Shoup preconditioner) for the overshoot
+     *  correction. */
+    std::vector<simd::NewLimbTarget> targets;
 };
 
 } // namespace madfhe

@@ -16,34 +16,6 @@ Modulus::Modulus(u64 q)
 }
 
 u64
-Modulus::reduce128(u128 x) const
-{
-    // Barrett: quotient estimate via the top 128 bits of x * floor(2^128/q).
-    u64 x_hi = static_cast<u64>(x >> 64);
-    u64 x_lo = static_cast<u64>(x);
-    u64 b_hi = static_cast<u64>(barrett >> 64);
-    u64 b_lo = static_cast<u64>(barrett);
-
-    // q_est = floor(x * barrett / 2^128); compute the 256-bit product's
-    // top half using 64x64->128 partial products.
-    u128 lo_lo = static_cast<u128>(x_lo) * b_lo;
-    u128 lo_hi = static_cast<u128>(x_lo) * b_hi;
-    u128 hi_lo = static_cast<u128>(x_hi) * b_lo;
-    u128 hi_hi = static_cast<u128>(x_hi) * b_hi;
-
-    u128 mid = lo_hi + hi_lo;
-    u128 carry_mid = mid < lo_hi ? (static_cast<u128>(1) << 64) : 0;
-    u128 mid_plus = mid + (lo_lo >> 64);
-    u128 carry2 = mid_plus < mid ? (static_cast<u128>(1) << 64) : 0;
-    u128 q_est = hi_hi + (mid_plus >> 64) + carry_mid + carry2;
-
-    u128 r = x - q_est * _value;
-    while (r >= _value)
-        r -= _value;
-    return static_cast<u64>(r);
-}
-
-u64
 Modulus::pow(u64 a, u64 e) const
 {
     u64 base = a >= _value ? reduce(a) : a;

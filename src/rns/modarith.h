@@ -50,7 +50,32 @@ class Modulus
     }
 
     /** Barrett reduction of a 128-bit value into [0, q). */
-    u64 reduce128(u128 x) const;
+    u64
+    reduce128(u128 x) const
+    {
+        // Quotient estimate: the top 128 bits of the 256-bit product
+        // x * floor(2^128/q), assembled from 64x64->128 partials.
+        const u64 x_hi = static_cast<u64>(x >> 64);
+        const u64 x_lo = static_cast<u64>(x);
+        const u64 b_hi = static_cast<u64>(barrett >> 64);
+        const u64 b_lo = static_cast<u64>(barrett);
+
+        const u128 lo_lo = static_cast<u128>(x_lo) * b_lo;
+        const u128 lo_hi = static_cast<u128>(x_lo) * b_hi;
+        const u128 hi_lo = static_cast<u128>(x_hi) * b_lo;
+        const u128 hi_hi = static_cast<u128>(x_hi) * b_hi;
+
+        const u128 mid = lo_hi + hi_lo;
+        const u128 carry_mid = mid < lo_hi ? (static_cast<u128>(1) << 64) : 0;
+        const u128 mid_plus = mid + (lo_lo >> 64);
+        const u128 carry2 = mid_plus < mid ? (static_cast<u128>(1) << 64) : 0;
+        const u128 q_est = hi_hi + (mid_plus >> 64) + carry_mid + carry2;
+
+        u128 r = x - q_est * _value;
+        while (r >= _value)
+            r -= _value;
+        return static_cast<u64>(r);
+    }
 
     /** Reduce an arbitrary 64-bit value (not necessarily < q). */
     u64 reduce(u64 x) const { return reduce128(x); }

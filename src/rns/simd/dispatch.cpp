@@ -80,6 +80,13 @@ resolveOnce()
 
 } // namespace
 
+Fold128
+foldFor(const Modulus& q)
+{
+    const u64 r64 = q.reduce128(static_cast<u128>(1) << 64);
+    return {q.value(), r64, q.shoupPrecompute(r64), q.shoupPrecompute(1)};
+}
+
 bool
 supported(Backend b)
 {

@@ -172,7 +172,8 @@ const Kernels kAvx2 = {
     vecimpl::mulShoupScalar<Avx2Ops>,
     vecimpl::mulModVec<Avx2Ops>,
     vecimpl::addMulModVec<Avx2Ops>,
-    vecimpl::newlimbAcc<Avx2Ops>,
+    vecimpl::newlimb<Avx2Ops>,
+    vecimpl::mac<Avx2Ops>,
     vecimpl::fpTransform<Avx2Ops>,
 };
 

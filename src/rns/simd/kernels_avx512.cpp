@@ -151,7 +151,8 @@ const Kernels kAvx512 = {
     vecimpl::mulShoupScalar<Avx512Ops>,
     vecimpl::mulModVec<Avx512Ops>,
     vecimpl::addMulModVec<Avx512Ops>,
-    vecimpl::newlimbAcc<Avx512Ops>,
+    vecimpl::newlimb<Avx512Ops>,
+    vecimpl::mac<Avx512Ops>,
     vecimpl::fpTransform<Avx512Ops>,
 };
 

@@ -83,46 +83,103 @@ addMulModVec(u64* dst, const u64* a, const u64* b, size_t n,
         dst[i] = q.add(dst[i], q.mul(a[i], b[i]));
 }
 
-void
-newlimbAcc(const u64* rows, size_t stride, const u64* punct, size_t k,
-           u64 q, u64 r64, u64 r64_shoup, u64 pre1, u64* out)
+inline u64
+mulhi(u64 a, u64 b)
 {
-    // 128-bit lazy accumulation, folded with the Shoup constants the
-    // vector backends use: acc mod q = (acc_hi * (2^64 mod q) +
-    // barrett64(acc_lo)) mod q. Flushing every 16 terms keeps the 128-bit
-    // accumulator overflow-free for q up to the 2^62 bound (16 products
-    // below 2^124 sum to under 2^128).
-    u64 result = 0;
-    for (size_t base = 0; base < k; base += 16) {
-        const size_t chunk = k - base < 16 ? k - base : 16;
-        u128 acc = 0;
-        for (size_t i = 0; i < chunk; ++i)
-            acc += static_cast<u128>(rows[(base + i) * stride]) *
-                   punct[base + i];
-        const u64 acc_hi = static_cast<u64>(acc >> 64);
-        const u64 acc_lo = static_cast<u64>(acc);
-        // hi * 2^64 mod q via Shoup (lazy, < 2q) ...
-        u64 h = static_cast<u64>(
-            (static_cast<u128>(acc_hi) * r64_shoup) >> 64);
-        u64 m1 = acc_hi * r64 - h * q;
-        // ... plus acc_lo reduced under 2q with the pre1 = floor(2^64/q)
-        // quotient estimate.
-        u64 qe = static_cast<u64>((static_cast<u128>(acc_lo) * pre1) >> 64);
-        u64 m2 = acc_lo - qe * q;
-        u64 r = m1 + m2; // < 4q < 2^64
-        if (r >= 2 * q)
-            r -= 2 * q;
-        if (r >= q)
-            r -= q;
-        u64 s = result + r;
-        result = s >= q ? s - q : s;
+    return static_cast<u64>((static_cast<u128>(a) * b) >> 64);
+}
+
+inline u64
+addMod(u64 a, u64 b, u64 q)
+{
+    const u64 s = a + b;
+    return s >= q ? s - q : s;
+}
+
+/**
+ * Fold a 128-bit lazy sum into [0, q): hi * 2^64 mod q by Shoup (lazy,
+ * < 2q) plus lo reduced under 2q with the pre1 = floor(2^64/q) quotient
+ * estimate, then two conditional subtracts.
+ */
+inline u64
+fold(u128 acc, const Fold128& f)
+{
+    const u64 hi = static_cast<u64>(acc >> 64);
+    const u64 lo = static_cast<u64>(acc);
+    const u64 m1 = hi * f.r64 - mulhi(hi, f.r64_shoup) * f.q;
+    const u64 m2 = lo - mulhi(lo, f.pre1) * f.q;
+    u64 r = m1 + m2; // < 4q < 2^64
+    if (r >= 2 * f.q)
+        r -= 2 * f.q;
+    return r >= f.q ? r - f.q : r;
+}
+
+// Both lazy sums flush every 16 terms: each product is below 2^124 for
+// moduli up to the 2^62 cap, so 16 of them stay under 2^128. Every fold
+// is canonical, so where the windows fall does not change the result.
+
+void
+newlimb(const u64* const* src, size_t k, const u64* us, size_t n,
+        const u64* punct, const NewLimbTarget& t, u64* out)
+{
+    const u64 q = t.fold.q;
+    for (size_t c = 0; c < n; ++c) {
+        u64 result = 0;
+        for (size_t base = 0; base < k; base += 16) {
+            const size_t end = k - base < 16 ? k : base + 16;
+            u128 acc = 0;
+            for (size_t i = base; i < end; ++i)
+                acc += static_cast<u128>(src[i][c]) * punct[i];
+            result = addMod(result, fold(acc, t.fold), q);
+        }
+        if (us != nullptr) {
+            // Subtract us * Q mod p. Shoup's product is exact for any
+            // 64-bit us, so us needs no reduction first.
+            const u64 corr = mulShoup(us[c], t.q_mod, t.q_mod_shoup, q);
+            result = result >= corr ? result - corr : result + q - corr;
+        }
+        out[c] = result;
     }
-    out[0] = result;
+}
+
+void
+mac(const u64* const* d, const u64* const* b, const u64* const* a,
+    size_t terms, const u64* lift_u, const u64* lift_v, u64 lift_w, size_t n,
+    const Fold128& f, u64* u, u64* v)
+{
+    for (size_t c = 0; c < n; ++c) {
+        u128 au = 0, av = 0;
+        u64 ru = 0, rv = 0;
+        size_t pending = 0;
+        for (size_t j = 0; j < terms; ++j) {
+            const u64 x = d[j][c];
+            au += static_cast<u128>(x) * b[j][c];
+            av += static_cast<u128>(x) * a[j][c];
+            if (++pending == 16) {
+                ru = addMod(ru, fold(au, f), f.q);
+                rv = addMod(rv, fold(av, f), f.q);
+                au = av = 0;
+                pending = 0;
+            }
+        }
+        if (lift_u != nullptr) {
+            au += static_cast<u128>(lift_u[c]) * lift_w;
+            av += static_cast<u128>(lift_v[c]) * lift_w;
+            ++pending;
+        }
+        if (pending != 0) {
+            ru = addMod(ru, fold(au, f), f.q);
+            rv = addMod(rv, fold(av, f), f.q);
+        }
+        u[c] = ru;
+        v[c] = rv;
+    }
 }
 
 const Kernels kScalar = {
-    "scalar", "simd.scalar", 1,        nttStage,     reduce4q,
-    mulShoupVec, mulShoupScalar, mulModVec, addMulModVec, newlimbAcc,
+    "scalar",    "simd.scalar",  1,         nttStage,     reduce4q,
+    mulShoupVec, mulShoupScalar, mulModVec, addMulModVec, newlimb,
+    mac,
     nullptr, // fp_transform: the unfused scalar path IS the reference
 };
 

@@ -376,42 +376,145 @@ fpTransform(u64* p, size_t n, const double* pre_rev, const double* tw,
     return true;
 }
 
+/** Per-lane lazy 128-bit sum hi:lo of 64x64 products. */
+template <class Ops>
+struct Acc128
+{
+    typename Ops::V lo = Ops::set1(0);
+    typename Ops::V hi = Ops::set1(0);
+
+    void
+    mac(typename Ops::V x, typename Ops::V y)
+    {
+        typename Ops::V ph, pl;
+        Ops::mul128(x, y, &ph, &pl);
+        auto nlo = Ops::add(lo, pl);
+        hi = Ops::add(hi, Ops::add(ph, Ops::borrow1(nlo, pl)));
+        lo = nlo;
+    }
+};
+
+/** Fold128 broadcast into vectors; fold() mirrors the scalar fold. */
+template <class Ops>
+struct FoldV
+{
+    typename Ops::V vq, v2q, vr64, vr64s, vpre1;
+
+    explicit FoldV(const Fold128& f)
+        : vq(Ops::set1(f.q)), v2q(Ops::set1(2 * f.q)),
+          vr64(Ops::set1(f.r64)), vr64s(Ops::set1(f.r64_shoup)),
+          vpre1(Ops::set1(f.pre1))
+    {
+    }
+
+    /** acc mod q in [0, q). */
+    typename Ops::V
+    fold(const Acc128<Ops>& acc) const
+    {
+        auto m1 = mulShoupLazyV<Ops>(acc.hi, vr64, vr64s, vq);
+        auto qe = Ops::mulhi64(acc.lo, vpre1);
+        auto m2 = Ops::sub(acc.lo, Ops::mullo64(qe, vq));
+        auto r = Ops::add(m1, m2); // < 4q < 2^64
+        return Ops::csub(Ops::csub(r, v2q), vq);
+    }
+
+    /** (a + b) mod q for canonical a, b. */
+    typename Ops::V
+    addMod(typename Ops::V a, typename Ops::V b) const
+    {
+        return Ops::csub(Ops::add(a, b), vq);
+    }
+};
+
+/** The k pointers of `p`, each advanced by `off` (for scalar tails). */
+inline std::vector<const u64*>
+offsetPtrs(const u64* const* p, size_t k, size_t off)
+{
+    std::vector<const u64*> out(k);
+    for (size_t i = 0; i < k; ++i)
+        out[i] = p[i] + off;
+    return out;
+}
+
 template <class Ops>
 void
-newlimbAcc(const u64* rows, size_t stride, const u64* punct, size_t k,
-           u64 q, u64 r64, u64 r64_shoup, u64 pre1, u64* out)
+newlimb(const u64* const* src, size_t k, const u64* us, size_t n,
+        const u64* punct, const NewLimbTarget& t, u64* out)
 {
-    const auto vq = Ops::set1(q);
-    const auto v2q = Ops::set1(2 * q);
-    const auto vr64 = Ops::set1(r64);
-    const auto vr64s = Ops::set1(r64_shoup);
-    const auto vpre1 = Ops::set1(pre1);
-    auto result = Ops::set1(0);
-    for (size_t base = 0; base < k; base += 16) {
-        const size_t chunk = k - base < 16 ? k - base : 16;
-        auto acc_lo = Ops::set1(0);
-        auto acc_hi = Ops::set1(0);
-        for (size_t i = 0; i < chunk; ++i) {
-            auto s = Ops::load(rows + (base + i) * stride);
-            auto pb = Ops::set1(punct[base + i]);
-            typename Ops::V hi, lo;
-            Ops::mul128(s, pb, &hi, &lo);
-            auto nlo = Ops::add(acc_lo, lo);
-            auto carry = Ops::borrow1(nlo, lo); // 1 where the add wrapped
-            acc_lo = nlo;
-            acc_hi = Ops::add(acc_hi, Ops::add(hi, carry));
+    constexpr size_t W = Ops::W;
+    const FoldV<Ops> f(t.fold);
+    const auto vqm = Ops::set1(t.q_mod);
+    const auto vqms = Ops::set1(t.q_mod_shoup);
+    size_t c = 0;
+    for (; c + W <= n; c += W) {
+        auto result = Ops::set1(0);
+        for (size_t base = 0; base < k; base += 16) {
+            const size_t end = k - base < 16 ? k : base + 16;
+            Acc128<Ops> acc;
+            for (size_t i = base; i < end; ++i)
+                acc.mac(Ops::load(src[i] + c), Ops::set1(punct[i]));
+            result = f.addMod(result, f.fold(acc));
         }
-        // Fold acc_hi:acc_lo into [0, q): hi * (2^64 mod q) by Shoup
-        // (lazy, < 2q) plus lo reduced under 2q via pre1 = floor(2^64/q).
-        auto m1 = mulShoupLazyV<Ops>(acc_hi, vr64, vr64s, vq);
-        auto qe = Ops::mulhi64(acc_lo, vpre1);
-        auto m2 = Ops::sub(acc_lo, Ops::mullo64(qe, vq));
-        auto r = Ops::add(m1, m2); // < 4q < 2^64
-        r = Ops::csub(r, v2q);
-        r = Ops::csub(r, vq);
-        result = Ops::csub(Ops::add(result, r), vq);
+        if (us != nullptr) {
+            // result - us * (Q mod p), modular: +q keeps it positive.
+            auto corr = Ops::csub(
+                mulShoupLazyV<Ops>(Ops::load(us + c), vqm, vqms, f.vq), f.vq);
+            result = f.addMod(Ops::sub(result, corr), f.vq);
+        }
+        Ops::store(out + c, result);
     }
-    Ops::store(out, result);
+    if (c < n)
+        scalarKernels()->newlimb(offsetPtrs(src, k, c).data(), k,
+                                 us != nullptr ? us + c : nullptr, n - c,
+                                 punct, t, out + c);
+}
+
+template <class Ops>
+void
+mac(const u64* const* d, const u64* const* b, const u64* const* a,
+    size_t terms, const u64* lift_u, const u64* lift_v, u64 lift_w, size_t n,
+    const Fold128& fc, u64* u, u64* v)
+{
+    constexpr size_t W = Ops::W;
+    const FoldV<Ops> f(fc);
+    const auto vw = Ops::set1(lift_w);
+    size_t c = 0;
+    for (; c + W <= n; c += W) {
+        auto ru = Ops::set1(0);
+        auto rv = Ops::set1(0);
+        Acc128<Ops> au, av;
+        size_t pending = 0;
+        for (size_t j = 0; j < terms; ++j) {
+            const auto x = Ops::load(d[j] + c);
+            au.mac(x, Ops::load(b[j] + c));
+            av.mac(x, Ops::load(a[j] + c));
+            if (++pending == 16) {
+                ru = f.addMod(ru, f.fold(au));
+                rv = f.addMod(rv, f.fold(av));
+                au = Acc128<Ops>();
+                av = Acc128<Ops>();
+                pending = 0;
+            }
+        }
+        if (lift_u != nullptr) {
+            au.mac(Ops::load(lift_u + c), vw);
+            av.mac(Ops::load(lift_v + c), vw);
+            ++pending;
+        }
+        if (pending != 0) {
+            ru = f.addMod(ru, f.fold(au));
+            rv = f.addMod(rv, f.fold(av));
+        }
+        Ops::store(u + c, ru);
+        Ops::store(v + c, rv);
+    }
+    if (c < n)
+        scalarKernels()->mac(offsetPtrs(d, terms, c).data(),
+                             offsetPtrs(b, terms, c).data(),
+                             offsetPtrs(a, terms, c).data(), terms,
+                             lift_u != nullptr ? lift_u + c : nullptr,
+                             lift_v != nullptr ? lift_v + c : nullptr, lift_w,
+                             n - c, fc, u + c, v + c);
 }
 
 } // namespace vecimpl

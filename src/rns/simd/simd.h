@@ -2,7 +2,7 @@
  * @file
  * Runtime-dispatched SIMD kernels for the modular hot loops: Harvey lazy
  * NTT/iNTT butterfly stages, Shoup/Barrett pointwise modular multiplies,
- * and the NewLimb fast-basis-extension accumulation.
+ * the NewLimb fast basis extension and the key-switch inner product.
  *
  * The backend is resolved once per process from `MADFHE_SIMD`
  * (`off|avx2|avx512|auto`, default `auto`) intersected with CPUID
@@ -34,6 +34,32 @@ enum class Backend : u8
 };
 
 /**
+ * Constants that fold a 128-bit lazy sum hi * 2^64 + lo into [0, q):
+ * hi * (2^64 mod q) by Shoup plus lo reduced with the quotient estimate
+ * floor(lo * pre1 / 2^64), pre1 = floor(2^64 / q).
+ */
+struct Fold128
+{
+    u64 q;
+    u64 r64;       ///< 2^64 mod q
+    u64 r64_shoup; ///< shoupPrecompute(r64)
+    u64 pre1;      ///< floor(2^64 / q) = shoupPrecompute(1)
+};
+
+/** Fold128 constants of modulus q. */
+Fold128 foldFor(const Modulus& q);
+
+/** A NewLimb target modulus p: its fold constants plus Q mod p (the
+ *  source-basis product) and that value's Shoup preconditioner, for the
+ *  ConvMode::SignedExact correction. */
+struct NewLimbTarget
+{
+    Fold128 fold;
+    u64 q_mod;
+    u64 q_mod_shoup;
+};
+
+/**
  * The dispatch table. All kernels operate on u64 residue arrays and
  * produce canonical outputs bit-identical to the scalar table.
  */
@@ -43,7 +69,7 @@ struct Kernels
     const char* name;
     /** Telemetry span label ("simd.scalar", ...); a string literal. */
     const char* span_label;
-    /** Native lane width in u64 (1, 4, 8). Block size for NewLimb. */
+    /** Native lane width in u64 (1, 4, 8). */
     size_t lanes;
 
     /**
@@ -83,16 +109,31 @@ struct Kernels
                             const Modulus& q);
 
     /**
-     * NewLimb inner accumulation over one lane block (exactly `lanes`
-     * coefficients): out[l] = (sum_i rows[i*stride + l] * punct[i]) mod q.
-     * `rows` is the k x stride row-major scaled-residue scratch.
-     * r64 = 2^64 mod q with its Shoup preconditioner r64_shoup, and
-     * pre1 = shoupPrecompute(1) = floor(2^64 / q) (the 128-bit folding
-     * constants, precomputed per target modulus by the caller).
+     * NewLimb (Equation 1) into one whole target limb:
+     *   out[c] = (sum_i src[i][c] * punct[i] - us[c] * (Q mod p)) mod p
+     * for c in [0, n), with the us term dropped when `us` is null
+     * (ConvMode::Approx). `src` holds k pointers to scaled source
+     * residues. Products are summed lazily in 128 bits and folded every
+     * 16 terms; us[c] * (Q mod p) is a Shoup multiply.
      */
-    void (*newlimb_acc)(const u64* rows, size_t stride, const u64* punct,
-                        size_t k, u64 q, u64 r64, u64 r64_shoup, u64 pre1,
-                        u64* out);
+    void (*newlimb)(const u64* const* src, size_t k, const u64* us,
+                    size_t n, const u64* punct, const NewLimbTarget& t,
+                    u64* out);
+
+    /**
+     * Key-switch inner product for one limb position:
+     *   u[c] = (sum_j d[j][c] * b[j][c] + lift_u[c] * lift_w) mod q
+     *   v[c] = (sum_j d[j][c] * a[j][c] + lift_v[c] * lift_w) mod q
+     * over `terms` digits, with the lift terms dropped when lift_u and
+     * lift_v are null. Each d[j] is loaded once for both outputs, and the
+     * sums are accumulated lazily in 128 bits with the NewLimb fold.
+     * u and v may alias any d[j]: every coefficient's inputs are read
+     * before its outputs are written.
+     */
+    void (*mac)(const u64* const* d, const u64* const* b,
+                const u64* const* a, size_t terms, const u64* lift_u,
+                const u64* lift_v, u64 lift_w, size_t n, const Fold128& f,
+                u64* u, u64* v);
 
     /**
      * Optional fused whole-NTT kernel: bit-reversal gather, optional

@@ -6,7 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
+
 #include "ckks/stream.h"
+#include "rns/simd/simd.h"
 #include "support/threadpool.h"
 #include "test_util.h"
 
@@ -241,6 +245,137 @@ TEST_F(KeySwitchTest, KeySwitchMergedByteIdenticalAcrossStreamPolicies)
                     << " level " << level << " threads " << threads;
             }
         }
+    }
+}
+
+/** Select a SIMD backend; the previous one comes back on scope exit. */
+class ScopedBackend
+{
+  public:
+    explicit ScopedBackend(simd::Backend b) : prev(simd::backend())
+    {
+        simd::setBackend(b);
+    }
+    ~ScopedBackend() { simd::setBackend(prev); }
+
+  private:
+    simd::Backend prev;
+};
+
+/** Plain (u, v) then merged (u, v): the four polynomials one key-switch
+ *  configuration produces for the backend/policy/thread sweeps. */
+using SwitchOutputs = std::array<RnsPoly, 4>;
+
+SwitchOutputs
+switchBoth(const KeySwitcher& ksw, const RnsPoly& x, const SwitchingKey& ksk,
+           const SwitchingKey& rlk, const RnsPoly& d0, const RnsPoly& d1)
+{
+    auto [u, v] = ksw.keySwitch(x, ksk);
+    auto [mu, mv] = ksw.keySwitchMerged(x, rlk, d0, d1);
+    return {std::move(u), std::move(v), std::move(mu), std::move(mv)};
+}
+
+RnsPoly
+samplePoly(const CkksContext& ctx, size_t level, Sampler& s)
+{
+    RnsPoly p(ctx.ring(), ctx.ring()->qIndices(level), Rep::Coeff);
+    p.setFromSigned(s.centeredBinomial(ctx.degree()));
+    p.toEval();
+    return p;
+}
+
+TEST_F(KeySwitchTest, KeySwitchByteIdenticalAcrossBackends)
+{
+    // The scalar kernel table under the materializing Off composition at
+    // one thread is the reference. Every runnable backend must reproduce
+    // it byte for byte under every stream policy, at 1 and 4 threads,
+    // for the plain and the merged key switch.
+    KeyGenerator keygen(h->ctx);
+    SwitchingKey ksk = keygen.galoisKey(h->sk, 5);
+    const auto& ksw = h->eval->keySwitcher();
+    std::vector<simd::Backend> backends = {simd::Backend::Scalar};
+    for (simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512})
+        if (simd::supported(b))
+            backends.push_back(b);
+    for (size_t level = 2; level <= h->ctx->maxLevel(); ++level) {
+        Sampler s(3000 + level);
+        const RnsPoly x = samplePoly(*h->ctx, level, s);
+        const RnsPoly d0 = samplePoly(*h->ctx, level, s);
+        const RnsPoly d1 = samplePoly(*h->ctx, level, s);
+        SwitchOutputs ref;
+        {
+            ScopedBackend sb(simd::Backend::Scalar);
+            ScopedStreamPolicy off(StreamPolicy::Off);
+            ScopedThreads st(1);
+            ref = switchBoth(ksw, x, ksk, h->rlk, d0, d1);
+        }
+        for (simd::Backend b : backends) {
+            for (StreamPolicy p : kStreamPolicies) {
+                for (size_t threads : {size_t{1}, size_t{4}}) {
+                    ScopedBackend sb(b);
+                    ScopedStreamPolicy sp(p);
+                    ScopedThreads st(threads);
+                    const SwitchOutputs got =
+                        switchBoth(ksw, x, ksk, h->rlk, d0, d1);
+                    for (size_t k = 0; k < got.size(); ++k)
+                        EXPECT_TRUE(got[k].equals(ref[k]))
+                            << "output " << k << " diverges: backend "
+                            << simd::backendName(b) << " policy "
+                            << streamPolicyName(p) << " level " << level
+                            << " threads " << threads;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(KeySwitchTest, ConcurrentFirstKeySwitchesOnFreshContextAgree)
+{
+    // On a fresh context the first key switch at each level fills the
+    // context's ModUp/ModDown converter caches. Four threads doing that
+    // at once for every level from 2 up (the merged switch needs two
+    // limbs), each starting at a different level, must neither crash
+    // nor disagree with a serial rerun on the warm caches.
+    auto ctx = std::make_shared<CkksContext>(CkksParams::unitTest());
+    KeyGenerator keygen(ctx);
+    const SecretKey sk = keygen.secretKey();
+    const SwitchingKey ksk = keygen.galoisKey(sk, 5);
+    const SwitchingKey rlk = keygen.relinKey(sk);
+    const KeySwitcher ksw(ctx);
+    const size_t levels = ctx->maxLevel();
+    std::vector<std::array<RnsPoly, 3>> in(levels + 1);
+    for (size_t level = 2; level <= levels; ++level) {
+        Sampler s(4000 + level);
+        for (RnsPoly& p : in[level])
+            p = samplePoly(*ctx, level, s);
+    }
+
+    constexpr size_t kThreads = 4;
+    std::vector<std::vector<SwitchOutputs>> got(
+        kThreads, std::vector<SwitchOutputs>(levels + 1));
+    {
+        ScopedThreads st(kThreads);
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                for (size_t k = 0; k + 1 < levels; ++k) {
+                    const size_t level = 2 + (k + t) % (levels - 1);
+                    const auto& [x, d0, d1] = in[level];
+                    got[t][level] = switchBoth(ksw, x, ksk, rlk, d0, d1);
+                }
+            });
+        }
+        for (std::thread& th : threads)
+            th.join();
+    }
+    for (size_t level = 2; level <= levels; ++level) {
+        const auto& [x, d0, d1] = in[level];
+        const SwitchOutputs ref = switchBoth(ksw, x, ksk, rlk, d0, d1);
+        for (size_t t = 0; t < kThreads; ++t)
+            for (size_t k = 0; k < ref.size(); ++k)
+                EXPECT_TRUE(got[t][level][k].equals(ref[k]))
+                    << "thread " << t << " level " << level << " output "
+                    << k;
     }
 }
 

@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "ckks/encryptor.h"
@@ -224,6 +225,253 @@ TEST(SimdBasis, ConvertBitExactAcrossBackends)
     const auto ref = run(simd::Backend::Scalar);
     for (simd::Backend b : vectorBackends())
         EXPECT_EQ(run(b), ref) << simd::backendName(b);
+}
+
+/** (a * b) mod m in plain u128 arithmetic: the independent reference
+ *  the lazy-accumulating kernels are checked against. */
+u64
+mulMod(u64 a, u64 b, u64 m)
+{
+    return static_cast<u64>(static_cast<u128>(a) * b % m);
+}
+
+/**
+ * `count` distinct primes of `bits` bits avoiding `exclude`. 62 bits
+ * (the Modulus cap, one past generateNttPrimes' NTT range) walks down
+ * from just under 2^62.
+ */
+std::vector<u64>
+kernelPrimes(unsigned bits, size_t count, std::vector<u64> exclude = {})
+{
+    if (bits <= 61)
+        return generateNttPrimes(bits, 1 << 8, count, exclude);
+    std::vector<u64> out;
+    while (out.size() < count) {
+        out.push_back(generateNttPrimeNear((1ULL << 62) - (1ULL << 40),
+                                           1 << 8, exclude));
+        exclude.push_back(out.back());
+    }
+    return out;
+}
+
+RnsBasis
+basisOf(const std::vector<u64>& primes)
+{
+    std::vector<Modulus> mods;
+    for (u64 p : primes)
+        mods.emplace_back(p);
+    return RnsBasis(std::move(mods));
+}
+
+/** The three NewLimb entry points' outputs for one converter call. */
+struct NewLimbOutputs
+{
+    std::vector<std::vector<u64>> convert, limb, scaled;
+    bool operator==(const NewLimbOutputs& o) const
+    {
+        return convert == o.convert && limb == o.limb && scaled == o.scaled;
+    }
+};
+
+/**
+ * The whole-limb NewLimb kernel through every entry point (convert,
+ * convertLimb, scaleSourceRaw + overshootRaw + accumulateScaledRaw), in
+ * both modes, at prime widths up to the 2^62 cap where the 16-term fold
+ * window matters (17 products of 62-bit residues can pass 2^128), with
+ * k on both sides of that window and n off the lane grid. The scalar
+ * table must match a plain-u128 evaluation of Equation (1); every
+ * vector table must match the scalar one.
+ */
+TEST(SimdBasis, NewLimbBitExactAcrossEntryPointsModesAndShapes)
+{
+    const size_t n = 203; // 203 % 8 == 3: vector tails run
+    for (unsigned bits : {30u, 50u, 61u, 62u}) {
+        for (size_t k : {size_t{1}, size_t{16}, size_t{17}}) {
+            const auto from_p = kernelPrimes(bits, k);
+            const auto to_p = kernelPrimes(bits, 3, from_p);
+            const RnsBasis from = basisOf(from_p), to = basisOf(to_p);
+            const BasisConverter conv(from, to);
+            std::vector<std::vector<u64>> in(k);
+            std::vector<const u64*> in_ptrs;
+            for (size_t i = 0; i < k; ++i) {
+                in[i] = randomResidues(n, from[i], 1000 * bits + i);
+                in_ptrs.push_back(in[i].data());
+            }
+
+            for (ConvMode mode : {ConvMode::SignedExact, ConvMode::Approx}) {
+                const bool exact = mode == ConvMode::SignedExact;
+                auto run = [&](simd::Backend b) {
+                    ScopedBackend sb(b);
+                    NewLimbOutputs o;
+                    o.convert.assign(to.size(), std::vector<u64>(n));
+                    o.limb = o.scaled = o.convert;
+                    std::vector<u64*> out_ptrs;
+                    for (auto& limb : o.convert)
+                        out_ptrs.push_back(limb.data());
+                    conv.convert(in_ptrs, n, out_ptrs, mode);
+                    std::vector<std::vector<u64>> sc(k, std::vector<u64>(n));
+                    std::vector<const u64*> sc_ptrs;
+                    for (size_t i = 0; i < k; ++i) {
+                        conv.scaleSourceRaw(in[i].data(), n, i, sc[i].data());
+                        sc_ptrs.push_back(sc[i].data());
+                    }
+                    std::vector<u64> us(n);
+                    conv.overshootRaw(sc_ptrs, n, us.data());
+                    for (size_t j = 0; j < to.size(); ++j) {
+                        conv.convertLimb(in_ptrs, n, j, o.limb[j].data(),
+                                         mode);
+                        conv.accumulateScaledRaw(sc_ptrs,
+                                                 exact ? us.data() : nullptr,
+                                                 n, j, o.scaled[j].data());
+                    }
+                    return o;
+                };
+                const NewLimbOutputs ref = run(simd::Backend::Scalar);
+                EXPECT_EQ(ref.limb, ref.convert);
+                EXPECT_EQ(ref.scaled, ref.convert);
+
+                // Plain-u128 Equation (1): scaled_i = x_i * (Q/q_i)^-1,
+                // out = sum_i scaled_i * (Q/q_i) - us * Q, all mod p.
+                std::vector<const u64*> sc_ptrs;
+                std::vector<std::vector<u64>> sc(k, std::vector<u64>(n));
+                for (size_t i = 0; i < k; ++i) {
+                    for (size_t c = 0; c < n; ++c)
+                        sc[i][c] = mulMod(in[i][c], from.invPunctured(i),
+                                          from_p[i]);
+                    sc_ptrs.push_back(sc[i].data());
+                }
+                std::vector<u64> us(n);
+                conv.overshootRaw(sc_ptrs, n, us.data());
+                for (size_t j = 0; j < to.size(); ++j) {
+                    const u64 p = to_p[j];
+                    for (size_t c = 0; c < n; ++c) {
+                        u64 acc = 0;
+                        for (size_t i = 0; i < k; ++i) {
+                            u64 punct = 1;
+                            for (size_t t = 0; t < k; ++t)
+                                if (t != i)
+                                    punct = mulMod(punct, from_p[t] % p, p);
+                            acc = (acc + mulMod(sc[i][c], punct, p)) % p;
+                        }
+                        if (exact) {
+                            const u64 corr = mulMod(us[c], from.productMod(
+                                                               to[j]), p);
+                            acc = (acc + p - corr) % p;
+                        }
+                        ASSERT_EQ(ref.convert[j][c], acc)
+                            << "bits=" << bits << " k=" << k << " j=" << j
+                            << " c=" << c << " exact=" << exact;
+                    }
+                }
+
+                for (simd::Backend b : vectorBackends())
+                    EXPECT_TRUE(run(b) == ref)
+                        << simd::backendName(b) << " bits=" << bits
+                        << " k=" << k << " exact=" << exact;
+            }
+        }
+    }
+}
+
+/**
+ * The key-switch MAC kernel, with and without the merged P-lift, over
+ * digit counts on both sides of the 16-term fold window and n off the
+ * lane grid: scalar against plain u128, every vector table against
+ * scalar byte for byte. The first coefficients hold q - 1 everywhere,
+ * so at 62 bits 17 products overflow a 128-bit sum that skipped a fold.
+ */
+TEST(SimdMac, BitExactIncludingTails)
+{
+    const size_t n = 1003;
+    const size_t worst = 12; // leading all-(q - 1) coefficients
+    for (unsigned bits : {30u, 50u, 61u, 62u}) {
+        const Modulus q(kernelPrimes(bits, 1)[0]);
+        const simd::Fold128 fold = simd::foldFor(q);
+        for (size_t terms : {size_t{1}, size_t{3}, size_t{16}, size_t{17}}) {
+            std::vector<std::vector<u64>> d, b, a;
+            std::vector<const u64*> dp, bp, ap;
+            for (size_t j = 0; j < terms; ++j) {
+                d.push_back(randomResidues(n, q, 3 * j + 1));
+                b.push_back(randomResidues(n, q, 3 * j + 2));
+                a.push_back(randomResidues(n, q, 3 * j + 3));
+                for (auto* limb : {&d[j], &b[j], &a[j]})
+                    std::fill(limb->begin(), limb->begin() + worst,
+                              q.value() - 1);
+                dp.push_back(d[j].data());
+                bp.push_back(b[j].data());
+                ap.push_back(a[j].data());
+            }
+            auto l0 = randomResidues(n, q, 501);
+            auto l1 = randomResidues(n, q, 502);
+            std::fill(l0.begin(), l0.begin() + worst, q.value() - 1);
+            std::fill(l1.begin(), l1.begin() + worst, q.value() - 1);
+            const u64 w = q.value() - 1;
+            for (bool lift : {false, true}) {
+                auto run = [&](const simd::Kernels* K) {
+                    std::vector<u64> u(n), v(n);
+                    K->mac(dp.data(), bp.data(), ap.data(), terms,
+                           lift ? l0.data() : nullptr,
+                           lift ? l1.data() : nullptr, lift ? w : 0, n, fold,
+                           u.data(), v.data());
+                    return std::make_pair(u, v);
+                };
+                const auto ref = run(simd::scalarKernels());
+                for (size_t c = 0; c < n; ++c) {
+                    u64 eu = lift ? mulMod(l0[c], w, q.value()) : 0;
+                    u64 ev = lift ? mulMod(l1[c], w, q.value()) : 0;
+                    for (size_t j = 0; j < terms; ++j) {
+                        eu = q.add(eu, mulMod(d[j][c], b[j][c], q.value()));
+                        ev = q.add(ev, mulMod(d[j][c], a[j][c], q.value()));
+                    }
+                    ASSERT_EQ(ref.first[c], eu) << "bits=" << bits
+                                                << " terms=" << terms;
+                    ASSERT_EQ(ref.second[c], ev) << "bits=" << bits
+                                                 << " terms=" << terms;
+                }
+                // u and v may overwrite digit limbs they read.
+                for (const simd::Kernels* K :
+                     {simd::scalarKernels(), simd::avx2Kernels(),
+                      simd::avx512Kernels()}) {
+                    if (!K)
+                        continue;
+                    auto d0 = d[0];
+                    auto dl = d[terms - 1];
+                    std::vector<const u64*> dq = dp;
+                    dq[0] = d0.data();
+                    dq[terms - 1] = dl.data();
+                    std::vector<u64> v(n);
+                    u64* out_u = d0.data();
+                    u64* out_v = terms > 1 ? dl.data() : v.data();
+                    K->mac(dq.data(), bp.data(), ap.data(), terms,
+                           lift ? l0.data() : nullptr,
+                           lift ? l1.data() : nullptr, lift ? w : 0, n, fold,
+                           out_u, out_v);
+                    EXPECT_TRUE(std::equal(out_u, out_u + n,
+                                           ref.first.begin()))
+                        << K->name << " aliased u, terms=" << terms;
+                    EXPECT_TRUE(std::equal(out_v, out_v + n,
+                                           ref.second.begin()))
+                        << K->name << " aliased v, terms=" << terms;
+                }
+                for (const simd::Kernels* V :
+                     {simd::avx2Kernels(), simd::avx512Kernels()}) {
+                    if (!V)
+                        continue;
+                    const auto got = run(V);
+                    EXPECT_EQ(std::memcmp(got.first.data(), ref.first.data(),
+                                          n * sizeof(u64)),
+                              0)
+                        << V->name << " bits=" << bits << " terms=" << terms
+                        << " lift=" << lift;
+                    EXPECT_EQ(std::memcmp(got.second.data(),
+                                          ref.second.data(), n * sizeof(u64)),
+                              0)
+                        << V->name << " bits=" << bits << " terms=" << terms
+                        << " lift=" << lift;
+                }
+            }
+        }
+    }
 }
 
 /**
