@@ -1,7 +1,9 @@
 #include "ckks/evaluator.h"
 
+#include <array>
 #include <cmath>
 
+#include "ckks/shape.h"
 #include "memtrace/trace.h"
 #include "support/faultinject.h"
 #include "support/parallel.h"
@@ -10,7 +12,24 @@
 namespace madfhe {
 
 namespace {
+
 faultinject::Site g_fault_rescale("ckks.rescale", faultinject::kLimbKinds);
+
+/** The tensor product (d0, d1, d2): d0 + d1*s + d2*s^2 equals
+ *  (a0 + a1 s)(b0 + b1 s). */
+std::array<RnsPoly, 3>
+tensor(const Ciphertext& a, const Ciphertext& b)
+{
+    RnsPoly d0 = a.c0;
+    d0.mulPointwise(b.c0);
+    RnsPoly d1 = a.c0;
+    d1.mulPointwise(b.c1);
+    d1.addMul(a.c1, b.c0);
+    RnsPoly d2 = a.c1;
+    d2.mulPointwise(b.c1);
+    return {std::move(d0), std::move(d1), std::move(d2)};
+}
+
 } // namespace
 
 Evaluator::Evaluator(std::shared_ptr<const CkksContext> ctx_,
@@ -19,18 +38,10 @@ Evaluator::Evaluator(std::shared_ptr<const CkksContext> ctx_,
 {
 }
 
-void
-Evaluator::requireSameShape(const Ciphertext& a, const Ciphertext& b) const
-{
-    MAD_REQUIRE(a.level() == b.level(), "ciphertext levels differ");
-    double rel = std::abs(a.scale - b.scale) / a.scale;
-    MAD_REQUIRE(rel < 1e-3, "ciphertext scales differ; rescale/align first");
-}
-
 Ciphertext
 Evaluator::add(const Ciphertext& a, const Ciphertext& b) const
 {
-    requireSameShape(a, b);
+    shape::add(shape::of(a), shape::of(b));
     Ciphertext out = a;
     out.c0.add(b.c0);
     out.c1.add(b.c1);
@@ -40,7 +51,7 @@ Evaluator::add(const Ciphertext& a, const Ciphertext& b) const
 Ciphertext
 Evaluator::sub(const Ciphertext& a, const Ciphertext& b) const
 {
-    requireSameShape(a, b);
+    shape::add(shape::of(a), shape::of(b));
     Ciphertext out = a;
     out.c0.sub(b.c0);
     out.c1.sub(b.c1);
@@ -59,26 +70,18 @@ Evaluator::negate(const Ciphertext& a) const
 std::pair<Ciphertext, Ciphertext>
 Evaluator::align(const Ciphertext& a, const Ciphertext& b) const
 {
+    const shape::AlignPlan plan = shape::planAlign(shape::of(a), shape::of(b));
     Ciphertext x = a, y = b;
-    size_t lvl = std::min(x.level(), y.level());
-    if (x.level() > lvl)
-        x = dropToLevel(x, lvl);
-    if (y.level() > lvl)
-        y = dropToLevel(y, lvl);
-    double rel = std::abs(x.scale - y.scale) / std::max(x.scale, y.scale);
-    if (rel >= 1e-3) {
-        // Scalar-adjust the larger-scale operand down to the smaller
-        // scale (consumes one level on both, to keep levels equal).
-        MAD_REQUIRE(lvl >= 2, "cannot scale-align at the last level");
-        if (x.scale > y.scale) {
-            x = mulScalarRescale(x, y.scale / x.scale);
-            x.scale = y.scale; // exact by construction of the ratio
-            y = dropToLevel(y, x.level());
-        } else {
-            y = mulScalarRescale(y, x.scale / y.scale);
-            y.scale = x.scale;
-            x = dropToLevel(x, y.level());
-        }
+    if (x.level() > plan.level)
+        x = dropToLevel(x, plan.level);
+    if (y.level() > plan.level)
+        y = dropToLevel(y, plan.level);
+    if (plan.adjust >= 0) {
+        Ciphertext& big = plan.adjust == 0 ? x : y;
+        Ciphertext& other = plan.adjust == 0 ? y : x;
+        big = mulScalarRescale(big, plan.ratio);
+        big.scale = other.scale; // exact by construction of the ratio
+        other = dropToLevel(other, big.level());
     }
     return {std::move(x), std::move(y)};
 }
@@ -100,9 +103,7 @@ Evaluator::subAligned(const Ciphertext& a, const Ciphertext& b) const
 Ciphertext
 Evaluator::addPlain(const Ciphertext& a, const Plaintext& pt) const
 {
-    MAD_REQUIRE(a.level() == pt.level(), "plaintext level mismatch");
-    MAD_REQUIRE(std::abs(a.scale - pt.scale) / a.scale < 1e-3,
-            "plaintext scale mismatch");
+    shape::addPlain(shape::of(a), shape::of(pt));
     Ciphertext out = a;
     out.c0.add(pt.poly);
     return out;
@@ -111,9 +112,7 @@ Evaluator::addPlain(const Ciphertext& a, const Plaintext& pt) const
 Ciphertext
 Evaluator::subPlain(const Ciphertext& a, const Plaintext& pt) const
 {
-    MAD_REQUIRE(a.level() == pt.level(), "plaintext level mismatch");
-    MAD_REQUIRE(std::abs(a.scale - pt.scale) / a.scale < 1e-3,
-            "plaintext scale mismatch");
+    shape::addPlain(shape::of(a), shape::of(pt));
     Ciphertext out = a;
     out.c0.sub(pt.poly);
     return out;
@@ -122,11 +121,11 @@ Evaluator::subPlain(const Ciphertext& a, const Plaintext& pt) const
 Ciphertext
 Evaluator::mulPlain(const Ciphertext& a, const Plaintext& pt) const
 {
-    MAD_REQUIRE(a.level() == pt.level(), "plaintext level mismatch");
+    const shape::Shape s = shape::mulPlain(shape::of(a), shape::of(pt));
     Ciphertext out = a;
     out.c0.mulPointwise(pt.poly);
     out.c1.mulPointwise(pt.poly);
-    out.scale = a.scale * pt.scale;
+    out.scale = s.scale;
     return out;
 }
 
@@ -142,23 +141,15 @@ Evaluator::mulNoRescale(const Ciphertext& a, const Ciphertext& b,
 {
     MAD_TRACE_SCOPE("Mult");
     TELEM_SPAN("Mult");
-    requireSameShape(a, b);
-    // Tensor: d0 + d1*s + d2*s^2 = (a0 + a1 s)(b0 + b1 s).
-    RnsPoly d0 = a.c0;
-    d0.mulPointwise(b.c0);
-    RnsPoly d1 = a.c0;
-    d1.mulPointwise(b.c1);
-    d1.addMul(a.c1, b.c0);
-    RnsPoly d2 = a.c1;
-    d2.mulPointwise(b.c1);
-
+    const shape::Shape s = shape::mulNoRescale(shape::of(a), shape::of(b));
+    auto [d0, d1, d2] = tensor(a, b);
     auto [u, v] = ksw.keySwitch(d2, rlk);
     Ciphertext out;
     out.c0 = std::move(d0);
     out.c0.add(u);
     out.c1 = std::move(d1);
     out.c1.add(v);
-    out.scale = a.scale * b.scale;
+    out.scale = s.scale;
     return out;
 }
 
@@ -167,21 +158,13 @@ Evaluator::mul(const Ciphertext& a, const Ciphertext& b,
                const SwitchingKey& rlk) const
 {
     MAD_ERROR_OP("Mult");
+    const shape::Shape s = shape::mul(shape::of(a), shape::of(b), *ctx);
     if (!opts.merged_moddown)
         return rescale(mulNoRescale(a, b, rlk));
 
     MAD_TRACE_SCOPE("Mult");
     TELEM_SPAN("Mult");
-    requireSameShape(a, b);
-    MAD_REQUIRE(a.level() >= 2, "mul needs a level to rescale into");
-
-    RnsPoly d0 = a.c0;
-    d0.mulPointwise(b.c0);
-    RnsPoly d1 = a.c0;
-    d1.mulPointwise(b.c1);
-    d1.addMul(a.c1, b.c0);
-    RnsPoly d2 = a.c1;
-    d2.mulPointwise(b.c1);
+    auto [d0, d1, d2] = tensor(a, b);
 
     // Raised-basis KeySwitch, with the linear Add lifted above ModDown
     // (Figure 4(b)) and a single merged ModDown dividing by P * q_top
@@ -193,8 +176,7 @@ Evaluator::mul(const Ciphertext& a, const Ciphertext& b,
     Ciphertext out;
     out.c0 = std::move(u);
     out.c1 = std::move(v);
-    out.scale = a.scale * b.scale /
-                static_cast<double>(ctx->qValue(a.level() - 1));
+    out.scale = s.scale;
     return out;
 }
 
@@ -259,11 +241,11 @@ Ciphertext
 Evaluator::rescale(const Ciphertext& a) const
 {
     MAD_ERROR_OP("Rescale");
-    MAD_REQUIRE(a.level() >= 2, "cannot rescale the last limb away");
+    const shape::Shape s = shape::rescale(shape::of(a), *ctx);
     Ciphertext out;
     out.c0 = rescalePoly(a.c0, *ctx);
     out.c1 = rescalePoly(a.c1, *ctx);
-    out.scale = a.scale / static_cast<double>(ctx->qValue(a.level() - 1));
+    out.scale = s.scale;
     if (integrity::enabled()) {
         // Scale/level sanity: rescale must drop exactly one limb and land
         // on a finite positive scale, or downstream math quietly degrades.
@@ -279,19 +261,27 @@ Evaluator::rescale(const Ciphertext& a) const
 Ciphertext
 Evaluator::dropToLevel(const Ciphertext& a, size_t level) const
 {
-    MAD_REQUIRE(level >= 1 && level <= a.level(), "bad target level");
+    shape::dropToLevel(shape::of(a), level);
     Ciphertext out = a;
     out.c0.truncateLimbs(level);
     out.c1.truncateLimbs(level);
     return out;
 }
 
-const SwitchingKey&
-Evaluator::galoisKeyFor(u64 elt, const GaloisKeys& gks) const
+Ciphertext
+Evaluator::automorphKeySwitch(const Ciphertext& a, u64 elt,
+                              const GaloisKeys& gks) const
 {
-    auto it = gks.find(elt);
-    MAD_REQUIRE(it != gks.end(), "missing Galois key for requested rotation");
-    return it->second;
+    const SwitchingKey& gk = shape::galoisKey(gks, elt);
+    RnsPoly c0t = a.c0.automorph(elt);
+    RnsPoly c1t = a.c1.automorph(elt);
+    auto [u, v] = ksw.keySwitch(c1t, gk);
+    Ciphertext out;
+    out.c0 = std::move(c0t);
+    out.c0.add(u);
+    out.c1 = std::move(v);
+    out.scale = a.scale;
+    return out;
 }
 
 Ciphertext
@@ -303,35 +293,16 @@ Evaluator::rotate(const Ciphertext& a, int steps, const GaloisKeys& gks) const
         return a;
     MAD_TRACE_SCOPE("Rotate");
     TELEM_SPAN("Rotate");
-    const SwitchingKey& gk = galoisKeyFor(t, gks);
-
-    RnsPoly c0t = a.c0.automorph(t);
-    RnsPoly c1t = a.c1.automorph(t);
-    auto [u, v] = ksw.keySwitch(c1t, gk);
-    Ciphertext out;
-    out.c0 = std::move(c0t);
-    out.c0.add(u);
-    out.c1 = std::move(v);
-    out.scale = a.scale;
-    return out;
+    return automorphKeySwitch(a, t, gks);
 }
 
 Ciphertext
 Evaluator::conjugate(const Ciphertext& a, const GaloisKeys& gks) const
 {
-    const u64 t = ctx->ring()->conjugateElt();
+    MAD_ERROR_OP("Conjugate");
     MAD_TRACE_SCOPE("Conjugate");
     TELEM_SPAN("Conjugate");
-    const SwitchingKey& gk = galoisKeyFor(t, gks);
-    RnsPoly c0t = a.c0.automorph(t);
-    RnsPoly c1t = a.c1.automorph(t);
-    auto [u, v] = ksw.keySwitch(c1t, gk);
-    Ciphertext out;
-    out.c0 = std::move(c0t);
-    out.c0.add(u);
-    out.c1 = std::move(v);
-    out.scale = a.scale;
-    return out;
+    return automorphKeySwitch(a, ctx->ring()->conjugateElt(), gks);
 }
 
 std::vector<Ciphertext>
@@ -346,7 +317,6 @@ Evaluator::rotateHoisted(const Ciphertext& a, const std::vector<int>& steps,
     // well-defined: each occurrence yields an identical ciphertext off
     // the shared digits.
     std::vector<RnsPoly> digits;
-    bool have_digits = false;
 
     std::vector<Ciphertext> out;
     out.reserve(steps.size());
@@ -356,11 +326,9 @@ Evaluator::rotateHoisted(const Ciphertext& a, const std::vector<int>& steps,
             out.push_back(a);
             continue;
         }
-        const SwitchingKey& gk = galoisKeyFor(t, gks);
-        if (!have_digits) {
+        const SwitchingKey& gk = shape::galoisKey(gks, t);
+        if (digits.empty())
             digits = ksw.decomposeAndRaise(a.c1);
-            have_digits = true;
-        }
         std::vector<RnsPoly> rotated;
         rotated.reserve(digits.size());
         for (const auto& d : digits)
@@ -391,7 +359,7 @@ Evaluator::rotateRaised(const std::vector<RnsPoly>& digits,
         raised.scale = a.scale;
         return raised;
     }
-    const SwitchingKey& gk = galoisKeyFor(t, gks);
+    const SwitchingKey& gk = shape::galoisKey(gks, t);
     std::vector<RnsPoly> rotated;
     rotated.reserve(digits.size());
     for (const auto& d : digits)
@@ -425,9 +393,7 @@ Evaluator::mulPlainRaised(RaisedCiphertext& r, const Plaintext& pt) const
 void
 Evaluator::addRaised(RaisedCiphertext& acc, const RaisedCiphertext& r) const
 {
-    MAD_REQUIRE(acc.q_level == r.q_level, "raised level mismatch");
-    MAD_REQUIRE(std::abs(acc.scale - r.scale) / acc.scale < 1e-3,
-            "raised scale mismatch");
+    shape::addRaised({acc.q_level, acc.scale}, {r.q_level, r.scale});
     acc.c0.add(r.c0);
     acc.c1.add(r.c1);
 }
@@ -462,20 +428,18 @@ Evaluator::mulMonomial(const Ciphertext& a, size_t power) const
 Ciphertext
 Evaluator::mulScalarRescale(const Ciphertext& a, double scalar) const
 {
-    MAD_REQUIRE(a.level() >= 2, "no level left to rescale into");
+    shape::mulScalar(shape::of(a), *ctx);
     const u64 q_top = ctx->qValue(a.level() - 1);
     const double target = scalar * static_cast<double>(q_top);
     MAD_REQUIRE(std::abs(target) < 9.0e18, "scalar too large for one limb");
     const i64 k = static_cast<i64>(std::llround(target));
 
     Ciphertext out = a;
-    std::vector<u64> per0(a.level()), per1(a.level());
-    for (size_t i = 0; i < a.level(); ++i) {
-        per0[i] = out.c0.modulus(i).fromSigned(k);
-        per1[i] = per0[i];
-    }
-    out.c0.mulScalarPerLimb(per0);
-    out.c1.mulScalarPerLimb(per1);
+    std::vector<u64> per(a.level());
+    for (size_t i = 0; i < a.level(); ++i)
+        per[i] = out.c0.modulus(i).fromSigned(k);
+    out.c0.mulScalarPerLimb(per);
+    out.c1.mulScalarPerLimb(per);
     out.scale = a.scale * static_cast<double>(q_top);
     return rescale(out);
 }

@@ -137,11 +137,11 @@ class Evaluator
     Ciphertext addScalar(const Ciphertext& a, double scalar,
                          const CkksEncoder& encoder) const;
 
-    /** The galois key lookup used by rotate/conjugate (public for reuse). */
-    const SwitchingKey& galoisKeyFor(u64 elt, const GaloisKeys& gks) const;
-
   private:
-    void requireSameShape(const Ciphertext& a, const Ciphertext& b) const;
+    /** Automorph by Galois element `elt`, then key-switch c1 back to s
+     *  (the body Rotate and Conjugate share). */
+    Ciphertext automorphKeySwitch(const Ciphertext& a, u64 elt,
+                                  const GaloisKeys& gks) const;
 
     std::shared_ptr<const CkksContext> ctx;
     KeySwitcher ksw;

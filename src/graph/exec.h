@@ -2,8 +2,8 @@
  * @file
  * GraphExecutor: asynchronous topological execution of an evaluation
  * graph over an `EvalBackend` (real CKKS or the plaintext virtual
- * backend — the executor is backend-agnostic, so the same graph runs
- * under MADFHE_BACKEND=real and =virtual).
+ * backend — the executor is backend-agnostic, so the same graph runs on
+ * a RealBackend or a VirtualBackend, whichever the caller passes in).
  *
  * Scheduling: Kahn waves. Every node whose inputs are ready executes;
  * nodes within a wave run concurrently on the global threadpool

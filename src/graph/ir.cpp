@@ -1,7 +1,6 @@
 #include "graph/ir.h"
 
-#include <cmath>
-#include <deque>
+#include <set>
 
 #include "ckks/context.h"
 #include "ckks/matvec.h"
@@ -57,25 +56,19 @@ Graph::topoOrder() const
     }
     // Kahn with an ordered ready set: ids ascending, so the order is a
     // pure function of the graph, not of pass insertion history.
-    std::deque<u32> ready;
+    std::set<u32> ready;
     for (u32 id = 0; id < n; ++id)
         if (indeg[id] == 0)
-            ready.push_back(id);
+            ready.insert(id);
     std::vector<u32> order;
     order.reserve(n);
     while (!ready.empty()) {
-        const u32 id = ready.front();
-        ready.pop_front();
+        const u32 id = *ready.begin();
+        ready.erase(ready.begin());
         order.push_back(id);
-        for (u32 c : consumers[id]) {
-            if (--indeg[c] == 0) {
-                // insert keeping the deque sorted ascending
-                auto it = ready.begin();
-                while (it != ready.end() && *it < c)
-                    ++it;
-                ready.insert(it, c);
-            }
-        }
+        for (u32 c : consumers[id])
+            if (--indeg[c] == 0)
+                ready.insert(c);
     }
     MAD_REQUIRE(order.size() == n, "graph contains a cycle");
     return order;
@@ -90,6 +83,15 @@ Graph::metaOf(NodeRef ref) const
     return nd.meta[ref.port];
 }
 
+Node
+makeNode(OpKind kind, std::vector<NodeRef> inputs)
+{
+    Node n;
+    n.kind = kind;
+    n.inputs = std::move(inputs);
+    return n;
+}
+
 NodeRef
 GraphBuilder::append(Node n)
 {
@@ -101,37 +103,27 @@ NodeRef
 GraphBuilder::input(size_t level, double scale)
 {
     MAD_REQUIRE(level >= 1, "graph input needs at least one limb");
-    Node n;
-    n.kind = OpKind::Input;
-    n.input_level = level;
-    n.input_scale = scale;
+    Node n = makeNode(OpKind::Input);
+    n.input_shape = {level, scale};
     return append(std::move(n));
 }
 
 NodeRef
 GraphBuilder::add(NodeRef a, NodeRef b)
 {
-    Node n;
-    n.kind = OpKind::Add;
-    n.inputs = {a, b};
-    return append(std::move(n));
+    return append(makeNode(OpKind::Add, {a, b}));
 }
 
 NodeRef
 GraphBuilder::sub(NodeRef a, NodeRef b)
 {
-    Node n;
-    n.kind = OpKind::Sub;
-    n.inputs = {a, b};
-    return append(std::move(n));
+    return append(makeNode(OpKind::Sub, {a, b}));
 }
 
 NodeRef
 GraphBuilder::mul(NodeRef a, NodeRef b)
 {
-    Node n;
-    n.kind = OpKind::Mult;
-    n.inputs = {a, b};
+    Node n = makeNode(OpKind::Mult, {a, b});
     n.rescale_after = true;
     return append(std::move(n));
 }
@@ -139,27 +131,19 @@ GraphBuilder::mul(NodeRef a, NodeRef b)
 NodeRef
 GraphBuilder::mulNoRescale(NodeRef a, NodeRef b)
 {
-    Node n;
-    n.kind = OpKind::Mult;
-    n.inputs = {a, b};
-    return append(std::move(n));
+    return append(makeNode(OpKind::Mult, {a, b}));
 }
 
 NodeRef
 GraphBuilder::rescale(NodeRef a)
 {
-    Node n;
-    n.kind = OpKind::Rescale;
-    n.inputs = {a};
-    return append(std::move(n));
+    return append(makeNode(OpKind::Rescale, {a}));
 }
 
 NodeRef
 GraphBuilder::dropToLevel(NodeRef a, size_t level)
 {
-    Node n;
-    n.kind = OpKind::DropToLevel;
-    n.inputs = {a};
+    Node n = makeNode(OpKind::DropToLevel, {a});
     n.target_level = level;
     return append(std::move(n));
 }
@@ -167,9 +151,7 @@ GraphBuilder::dropToLevel(NodeRef a, size_t level)
 NodeRef
 GraphBuilder::rotate(NodeRef a, int step)
 {
-    Node n;
-    n.kind = OpKind::Rotate;
-    n.inputs = {a};
+    Node n = makeNode(OpKind::Rotate, {a});
     n.step = step;
     return append(std::move(n));
 }
@@ -177,9 +159,7 @@ GraphBuilder::rotate(NodeRef a, int step)
 std::vector<NodeRef>
 GraphBuilder::rotateHoisted(NodeRef a, const std::vector<int>& steps)
 {
-    Node n;
-    n.kind = OpKind::HoistedRotation;
-    n.inputs = {a};
+    Node n = makeNode(OpKind::HoistedRotation, {a});
     n.steps = steps;
     n.num_outputs = static_cast<u32>(steps.size());
     const NodeRef first = append(std::move(n));
@@ -193,9 +173,7 @@ GraphBuilder::rotateHoisted(NodeRef a, const std::vector<int>& steps)
 NodeRef
 GraphBuilder::mulScalar(NodeRef a, double scalar)
 {
-    Node n;
-    n.kind = OpKind::MulScalar;
-    n.inputs = {a};
+    Node n = makeNode(OpKind::MulScalar, {a});
     n.scalar = scalar;
     return append(std::move(n));
 }
@@ -203,9 +181,7 @@ GraphBuilder::mulScalar(NodeRef a, double scalar)
 NodeRef
 GraphBuilder::addScalar(NodeRef a, double scalar)
 {
-    Node n;
-    n.kind = OpKind::AddScalar;
-    n.inputs = {a};
+    Node n = makeNode(OpKind::AddScalar, {a});
     n.scalar = scalar;
     return append(std::move(n));
 }
@@ -214,9 +190,7 @@ NodeRef
 GraphBuilder::matVec(NodeRef a, const LinearTransform* t)
 {
     MAD_REQUIRE(t != nullptr, "PtMatVecMult node needs a transform");
-    Node n;
-    n.kind = OpKind::PtMatVecMult;
-    n.inputs = {a};
+    Node n = makeNode(OpKind::PtMatVecMult, {a});
     n.transform = t;
     return append(std::move(n));
 }
@@ -224,28 +198,19 @@ GraphBuilder::matVec(NodeRef a, const LinearTransform* t)
 NodeRef
 GraphBuilder::keySwitch(NodeRef a)
 {
-    Node n;
-    n.kind = OpKind::KeySwitch;
-    n.inputs = {a};
-    return append(std::move(n));
+    return append(makeNode(OpKind::KeySwitch, {a}));
 }
 
 NodeRef
 GraphBuilder::modRaise(NodeRef a)
 {
-    Node n;
-    n.kind = OpKind::ModRaise;
-    n.inputs = {a};
-    return append(std::move(n));
+    return append(makeNode(OpKind::ModRaise, {a}));
 }
 
 NodeRef
 GraphBuilder::bootstrap(NodeRef a)
 {
-    Node n;
-    n.kind = OpKind::Bootstrap;
-    n.inputs = {a};
-    return append(std::move(n));
+    return append(makeNode(OpKind::Bootstrap, {a}));
 }
 
 void
@@ -272,110 +237,63 @@ GraphBuilder::build()
 
 namespace {
 
-void
-requireSameShape(const ValueMeta& a, const ValueMeta& b)
+/** The output shape of node `n`; every port of a node carries it. */
+ValueMeta
+transfer(const Graph& g, const Node& n, const CkksContext& ctx)
 {
-    // Mirror of Evaluator::requireSameShape (same messages).
-    MAD_REQUIRE(a.level == b.level, "ciphertext levels differ");
-    const double rel = std::abs(a.scale - b.scale) / a.scale;
-    MAD_REQUIRE(rel < 1e-3, "ciphertext scales differ; rescale/align first");
+    auto in = [&](size_t i) { return g.metaOf(n.inputs.at(i)); };
+    switch (n.kind) {
+    case OpKind::Input:
+        return n.input_shape;
+    case OpKind::Add:
+    case OpKind::Sub:
+        return shape::add(in(0), in(1));
+    case OpKind::Mult:
+        return n.rescale_after || n.merged
+                   ? shape::mul(in(0), in(1), ctx)
+                   : shape::mulNoRescale(in(0), in(1));
+    case OpKind::Rescale:
+        return shape::rescale(in(0), ctx);
+    case OpKind::DropToLevel:
+        return shape::dropToLevel(in(0), n.target_level);
+    case OpKind::HoistedRotation:
+        MAD_REQUIRE(n.num_outputs == n.steps.size(),
+                    "hoisted rotation port/step count mismatch");
+        return in(0);
+    case OpKind::Rotate:
+    case OpKind::KeySwitch:
+    case OpKind::AddScalar:
+        return in(0);
+    case OpKind::MulScalar:
+        return shape::mulScalar(in(0), ctx);
+    case OpKind::PtMatVecMult:
+        MAD_REQUIRE(n.transform != nullptr,
+                    "PtMatVecMult node needs a transform");
+        return shape::matVec(in(0), n.transform->ptScale(), ctx);
+    case OpKind::ModRaise:
+        MAD_REQUIRE(in(0).level == 1,
+                    "ModRaise expects an exhausted (1-limb) ciphertext");
+        return {ctx.maxLevel(), in(0).scale};
+    case OpKind::Bootstrap:
+        return {ctx.maxLevel(), ctx.scale()};
+    }
+    throw InvariantError("unhandled OpKind", __FILE__, __LINE__);
 }
 
 } // namespace
 
 void
+inferNode(Graph& g, u32 id, const CkksContext& ctx)
+{
+    Node& n = g.node(id);
+    n.meta.assign(n.num_outputs, transfer(g, n, ctx));
+}
+
+void
 inferShapes(Graph& g, const CkksContext& ctx)
 {
-    const size_t slots = ctx.slots();
-    for (u32 id : g.topoOrder()) {
-        Node& n = g.node(id);
-        n.meta.assign(n.num_outputs, ValueMeta{});
-        auto in = [&](size_t i) -> const ValueMeta& {
-            return g.metaOf(n.inputs.at(i));
-        };
-        switch (n.kind) {
-        case OpKind::Input:
-            n.meta[0] = {n.input_level, n.input_scale, slots};
-            break;
-        case OpKind::Add:
-        case OpKind::Sub:
-            requireSameShape(in(0), in(1));
-            n.meta[0] = in(0);
-            break;
-        case OpKind::Mult: {
-            requireSameShape(in(0), in(1));
-            const ValueMeta& a = in(0);
-            const ValueMeta& b = in(1);
-            if (n.rescale_after || n.merged) {
-                MAD_REQUIRE(a.level >= 2, "mul needs a level to rescale into");
-                n.meta[0] = {a.level - 1,
-                             a.scale * b.scale /
-                                 static_cast<double>(ctx.qValue(a.level - 1)),
-                             slots};
-            } else {
-                n.meta[0] = {a.level, a.scale * b.scale, slots};
-            }
-            break;
-        }
-        case OpKind::Rescale: {
-            const ValueMeta& a = in(0);
-            MAD_REQUIRE(a.level >= 2, "cannot rescale the last limb away");
-            n.meta[0] = {a.level - 1,
-                         a.scale / static_cast<double>(ctx.qValue(a.level - 1)),
-                         slots};
-            break;
-        }
-        case OpKind::DropToLevel: {
-            const ValueMeta& a = in(0);
-            MAD_REQUIRE(n.target_level >= 1 && n.target_level <= a.level,
-                        "bad target level");
-            n.meta[0] = {n.target_level, a.scale, slots};
-            break;
-        }
-        case OpKind::Rotate:
-        case OpKind::KeySwitch:
-            n.meta[0] = in(0);
-            break;
-        case OpKind::HoistedRotation: {
-            MAD_REQUIRE(n.num_outputs == n.steps.size(),
-                        "hoisted rotation port/step count mismatch");
-            for (u32 p = 0; p < n.num_outputs; ++p)
-                n.meta[p] = in(0);
-            break;
-        }
-        case OpKind::MulScalar: {
-            const ValueMeta& a = in(0);
-            MAD_REQUIRE(a.level >= 2, "no level left to rescale into");
-            // mulScalarRescale folds the scalar into q_top then rescales:
-            // one level down, scale unchanged.
-            n.meta[0] = {a.level - 1, a.scale, slots};
-            break;
-        }
-        case OpKind::AddScalar:
-            n.meta[0] = in(0);
-            break;
-        case OpKind::PtMatVecMult: {
-            MAD_REQUIRE(n.transform != nullptr,
-                        "PtMatVecMult node needs a transform");
-            const ValueMeta& a = in(0);
-            MAD_REQUIRE(a.level >= 2, "cannot rescale the last limb away");
-            n.meta[0] = {a.level - 1,
-                         a.scale * n.transform->ptScale() /
-                             static_cast<double>(ctx.qValue(a.level - 1)),
-                         slots};
-            break;
-        }
-        case OpKind::ModRaise: {
-            const ValueMeta& a = in(0);
-            MAD_REQUIRE(a.level == 1, "ModRaise expects an exhausted (1-limb) ciphertext");
-            n.meta[0] = {ctx.maxLevel(), a.scale, slots};
-            break;
-        }
-        case OpKind::Bootstrap:
-            n.meta[0] = {ctx.maxLevel(), ctx.scale(), slots};
-            break;
-        }
-    }
+    for (u32 id : g.topoOrder())
+        inferNode(g, id, ctx);
 }
 
 } // namespace graph

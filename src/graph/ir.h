@@ -3,11 +3,10 @@
  * Evaluation-graph IR: a small DAG whose ops are the paper's Table 2
  * primitives (Mult, Rotate, Rescale, ModRaise, KeySwitch, PtMatVecMult,
  * Bootstrap) plus the scalar/level utilities the app schedules need.
- * Every edge carries (level, scale, slots) metadata, computed by
- * `inferShapes` with exactly the Evaluator's level/scale state machine
- * (same UserError messages on invalid transitions), so a graph that
- * fails shape inference would have thrown identically on the imperative
- * path.
+ * Every edge carries (level, scale) metadata, computed by `inferShapes`
+ * with the `ckks/shape` transitions the Evaluator itself runs (same
+ * UserError messages on invalid transitions), so a graph that fails
+ * shape inference would have thrown identically on the imperative path.
  *
  * The IR is deliberately minimal: a flat node vector in builder
  * (topological) order, multi-output nodes for hoisted rotations, and a
@@ -22,11 +21,10 @@
 
 #include <vector>
 
-#include "support/common.h"
+#include "ckks/shape.h"
 
 namespace madfhe {
 
-class CkksContext;
 class LinearTransform;
 
 namespace graph {
@@ -67,13 +65,8 @@ struct NodeRef
     }
 };
 
-/** Per-edge ciphertext metadata (the paper's l, Delta, and slot count). */
-struct ValueMeta
-{
-    size_t level = 0;
-    double scale = 0.0;
-    size_t slots = 0;
-};
+/** Per-edge ciphertext metadata (the paper's l and Delta). */
+using ValueMeta = shape::Shape;
 
 struct Node
 {
@@ -82,8 +75,7 @@ struct Node
     u32 num_outputs = 1;
 
     // --- per-kind attributes (sparse; only the relevant ones are set) ---
-    size_t input_level = 0;  ///< Input: declared level
-    double input_scale = 0.0; ///< Input: declared scale
+    ValueMeta input_shape;   ///< Input: declared level and scale
     int step = 0;            ///< Rotate: slot rotation amount
     std::vector<int> steps;  ///< HoistedRotation: one per output port
     size_t target_level = 0; ///< DropToLevel
@@ -102,6 +94,9 @@ struct Node
     /** Per-output metadata, filled by inferShapes(). */
     std::vector<ValueMeta> meta;
 };
+
+/** A node of `kind` over `inputs`, every attribute at its default. */
+Node makeNode(OpKind kind, std::vector<NodeRef> inputs = {});
 
 class Graph
 {
@@ -179,12 +174,12 @@ class GraphBuilder
     Graph g_;
 };
 
-/**
- * Compute per-edge (level, scale, slots) in topological order, raising
- * the Evaluator's own UserErrors ("ciphertext levels differ", "mul needs
- * a level to rescale into", ...) on invalid transitions. Idempotent;
- * passes re-run it after rewriting the graph.
- */
+/** Fill node `id`'s metadata from its (already inferred) inputs';
+ *  invalid transitions raise the shape module's UserErrors. */
+void inferNode(Graph& g, u32 id, const CkksContext& ctx);
+
+/** inferNode over every node in topological order. Idempotent; passes
+ *  re-run it after rewriting the graph. */
 void inferShapes(Graph& g, const CkksContext& ctx);
 
 } // namespace graph

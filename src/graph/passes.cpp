@@ -30,67 +30,30 @@ rewireUses(Graph& g, NodeRef from, NodeRef to, u32 except)
     g.setOutputs(std::move(outs));
 }
 
-/**
- * Track only the levels alignment decisions need: a lightweight forward
- * walk (full scale/error checking is inferShapes' job at the end).
- */
-size_t
-levelAfter(const Node& n, const std::vector<size_t>& in_levels,
-           const CkksContext& ctx)
-{
-    switch (n.kind) {
-    case OpKind::Input:
-        return n.input_level;
-    case OpKind::Mult:
-        return (n.rescale_after || n.merged) && in_levels[0] >= 1
-                   ? in_levels[0] - 1
-                   : in_levels[0];
-    case OpKind::Rescale:
-    case OpKind::MulScalar:
-    case OpKind::PtMatVecMult:
-        // Underflow guard only; inferShapes raises the real UserError.
-        return in_levels[0] >= 1 ? in_levels[0] - 1 : 0;
-    case OpKind::DropToLevel:
-        return n.target_level;
-    case OpKind::ModRaise:
-    case OpKind::Bootstrap:
-        return ctx.maxLevel();
-    default:
-        return in_levels.empty() ? 0 : in_levels[0];
-    }
-}
-
+/** Infer shapes in topological order (so the levels seen here are
+ *  inferShapes' own), first dropping the higher-level operand of every
+ *  Add/Sub/Mult to the lower level. */
 size_t
 alignLevels(Graph& g, const CkksContext& ctx)
 {
     size_t inserted = 0;
-    // per-node output level (ports of one node share a level)
-    std::vector<size_t> level(g.size(), 0);
     for (u32 id : g.topoOrder()) {
-        Node& n = g.node(id);
+        const Node& n = g.node(id);
         if (n.kind == OpKind::Add || n.kind == OpKind::Sub ||
             n.kind == OpKind::Mult) {
-            const size_t la = level[n.inputs[0].node];
-            const size_t lb = level[n.inputs[1].node];
+            const size_t la = g.metaOf(n.inputs[0]).level;
+            const size_t lb = g.metaOf(n.inputs[1]).level;
             if (la != lb) {
-                const size_t target = std::min(la, lb);
                 const size_t which = la > lb ? 0 : 1;
-                Node drop;
-                drop.kind = OpKind::DropToLevel;
-                drop.inputs = {n.inputs[which]};
-                drop.target_level = target;
+                Node drop = makeNode(OpKind::DropToLevel, {n.inputs[which]});
+                drop.target_level = std::min(la, lb);
                 const u32 did = g.addNode(std::move(drop));
-                level.push_back(target);
+                inferNode(g, did, ctx);
                 g.node(id).inputs[which] = NodeRef{did, 0};
                 ++inserted;
             }
         }
-        const Node& nn = g.node(id);
-        std::vector<size_t> ins;
-        ins.reserve(nn.inputs.size());
-        for (const NodeRef& in : nn.inputs)
-            ins.push_back(level[in.node]);
-        level[id] = levelAfter(nn, ins, ctx);
+        inferNode(g, id, ctx);
     }
     return inserted;
 }
@@ -108,10 +71,8 @@ placeRescales(Graph& g, bool merge, PassStats& stats)
             node.merged = true;
             ++stats.moddowns_merged;
         } else {
-            Node rn;
-            rn.kind = OpKind::Rescale;
-            rn.inputs = {NodeRef{id, 0}};
-            const u32 rid = g.addNode(std::move(rn));
+            const u32 rid =
+                g.addNode(makeNode(OpKind::Rescale, {NodeRef{id, 0}}));
             rewireUses(g, NodeRef{id, 0}, NodeRef{rid, 0}, rid);
             ++stats.rescales_placed;
         }
@@ -131,9 +92,7 @@ hoistRotations(Graph& g, PassStats& stats)
     for (const auto& [src, rotates] : by_source) {
         if (rotates.size() < 2)
             continue;
-        Node h;
-        h.kind = OpKind::HoistedRotation;
-        h.inputs = {src};
+        Node h = makeNode(OpKind::HoistedRotation, {src});
         h.num_outputs = static_cast<u32>(rotates.size());
         for (u32 rid : rotates)
             h.steps.push_back(g.node(rid).step);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <thread>
 
+#include "ckks/shape.h"
 #include "support/env.h"
 #include "telemetry/simfhe_bridge.h"
 #include "telemetry/telemetry.h"
@@ -32,15 +33,6 @@ VirtualView
 VirtualBackend::view(const Ciphertext& ct) const
 {
     return unpackVirtual(*ctx, ct);
-}
-
-void
-VirtualBackend::requireSameShape(const VirtualView& a,
-                                 const VirtualView& b) const
-{
-    MAD_REQUIRE(a.level == b.level, "ciphertext levels differ");
-    double rel = std::abs(a.scale - b.scale) / a.scale;
-    MAD_REQUIRE(rel < 1e-3, "ciphertext scales differ; rescale/align first");
 }
 
 void
@@ -111,28 +103,13 @@ VirtualBackend::decryptReal(const SecretKey& sk, const Ciphertext& ct) const
 }
 
 Ciphertext
-VirtualBackend::add(const Ciphertext& a, const Ciphertext& b) const
+VirtualBackend::addViews(VirtualView x, const VirtualView& y,
+                         bool subtract) const
 {
-    VirtualView x = view(a);
-    const VirtualView y = view(b);
-    requireSameShape(x, y);
+    shape::add(x, y);
     for (size_t k = 0; k < x.slots.size(); ++k)
-        x.slots[k] += y.slots[k];
-    x.noise_log2 =
-        est_.add(NoiseBound{x.noise_log2}, NoiseBound{y.noise_log2})
-            .log2_error;
-    charge(simfhe::PrimOp::Add, query_.cost(simfhe::PrimOp::Add, x.level));
-    return packVirtual(*ctx, x);
-}
-
-Ciphertext
-VirtualBackend::sub(const Ciphertext& a, const Ciphertext& b) const
-{
-    VirtualView x = view(a);
-    const VirtualView y = view(b);
-    requireSameShape(x, y);
-    for (size_t k = 0; k < x.slots.size(); ++k)
-        x.slots[k] -= y.slots[k];
+        x.slots[k] = subtract ? x.slots[k] - y.slots[k]
+                              : x.slots[k] + y.slots[k];
     // Error magnitudes add under subtraction exactly as under addition.
     x.noise_log2 =
         est_.add(NoiseBound{x.noise_log2}, NoiseBound{y.noise_log2})
@@ -142,23 +119,32 @@ VirtualBackend::sub(const Ciphertext& a, const Ciphertext& b) const
 }
 
 Ciphertext
+VirtualBackend::add(const Ciphertext& a, const Ciphertext& b) const
+{
+    return addViews(view(a), view(b), false);
+}
+
+Ciphertext
+VirtualBackend::sub(const Ciphertext& a, const Ciphertext& b) const
+{
+    return addViews(view(a), view(b), true);
+}
+
+Ciphertext
 VirtualBackend::mulScalarRescale(const Ciphertext& a, double scalar) const
 {
     VirtualView x = view(a);
-    MAD_REQUIRE(x.level >= 2, "no level left to rescale into");
+    const shape::Shape out = shape::mulScalar(x, *ctx);
     const double mag = x.magnitude();
     for (std::complex<double>& s : x.slots)
         s *= scalar;
-    // The real path folds the scalar into q_top then rescales: slot
-    // scale is unchanged, one level consumed (same accounting as
-    // alignViews' scale adjustment).
     x.noise_log2 =
         est_.rescale(est_.mulPlain(NoiseBound{x.noise_log2},
                                    std::abs(scalar), mag))
             .log2_error;
     charge(simfhe::PrimOp::PtMult,
            query_.cost(simfhe::PrimOp::PtMult, x.level));
-    x.level -= 1;
+    static_cast<shape::Shape&>(x) = out;
     return packVirtual(*ctx, x);
 }
 
@@ -178,30 +164,23 @@ VirtualBackend::addScalar(const Ciphertext& a, double scalar) const
 std::pair<VirtualView, VirtualView>
 VirtualBackend::alignViews(const VirtualView& a, const VirtualView& b) const
 {
+    const shape::AlignPlan plan = shape::planAlign(a, b);
     VirtualView x = a, y = b;
-    const size_t lvl = std::min(x.level, y.level);
-    x.level = lvl;
-    y.level = lvl;
-    double rel = std::abs(x.scale - y.scale) / std::max(x.scale, y.scale);
-    if (rel >= 1e-3) {
-        // Scalar-adjust the larger-scale operand down to the smaller
-        // scale (consumes one level on both, to keep levels equal).
-        MAD_REQUIRE(lvl >= 2, "cannot scale-align at the last level");
-        VirtualView& big = x.scale > y.scale ? x : y;
-        const double small_scale = std::min(x.scale, y.scale);
-        const double ratio = small_scale / big.scale;
+    if (plan.adjust >= 0) {
+        VirtualView& big = plan.adjust == 0 ? x : y;
+        const VirtualView& other = plan.adjust == 0 ? y : x;
         // mulScalarRescale: slot values are unchanged (the scalar and
         // the scale change cancel); one PtMult+Rescale worth of noise
         // lands on the adjusted operand.
         big.noise_log2 = est_.mulPlain(NoiseBound{big.noise_log2},
-                                       std::abs(ratio), big.magnitude())
+                                       std::abs(plan.ratio), big.magnitude())
                              .log2_error;
-        big.scale = small_scale;
+        big.scale = other.scale;
         charge(simfhe::PrimOp::PtMult,
-               query_.cost(simfhe::PrimOp::PtMult, lvl));
-        x.level = lvl - 1;
-        y.level = lvl - 1;
+               query_.cost(simfhe::PrimOp::PtMult, plan.level));
     }
+    // The scalar adjustment consumes one more level on both operands.
+    x.level = y.level = plan.adjust >= 0 ? plan.level - 1 : plan.level;
     return {std::move(x), std::move(y)};
 }
 
@@ -209,14 +188,7 @@ Ciphertext
 VirtualBackend::addAligned(const Ciphertext& a, const Ciphertext& b) const
 {
     auto [x, y] = alignViews(view(a), view(b));
-    requireSameShape(x, y);
-    for (size_t k = 0; k < x.slots.size(); ++k)
-        x.slots[k] += y.slots[k];
-    x.noise_log2 =
-        est_.add(NoiseBound{x.noise_log2}, NoiseBound{y.noise_log2})
-            .log2_error;
-    charge(simfhe::PrimOp::Add, query_.cost(simfhe::PrimOp::Add, x.level));
-    return packVirtual(*ctx, x);
+    return addViews(std::move(x), y, false);
 }
 
 Ciphertext
@@ -226,8 +198,7 @@ VirtualBackend::mul(const Ciphertext& a, const Ciphertext& b,
     (void)rlk; // presence is the control plane's (key cache) concern
     VirtualView x = view(a);
     const VirtualView y = view(b);
-    requireSameShape(x, y);
-    MAD_REQUIRE(x.level >= 2, "mul needs a level to rescale into");
+    const shape::Shape out = shape::mul(x, y, *ctx);
     const double mag_a = x.magnitude();
     const double mag_b = y.magnitude();
     for (size_t k = 0; k < x.slots.size(); ++k)
@@ -235,10 +206,8 @@ VirtualBackend::mul(const Ciphertext& a, const Ciphertext& b,
     x.noise_log2 = est_.mul(NoiseBound{x.noise_log2},
                             NoiseBound{y.noise_log2}, mag_a, mag_b, x.level)
                        .log2_error;
-    x.scale = x.scale * y.scale /
-              static_cast<double>(ctx->qValue(x.level - 1));
     charge(simfhe::PrimOp::Mult, query_.cost(simfhe::PrimOp::Mult, x.level));
-    x.level -= 1;
+    static_cast<shape::Shape&>(x) = out;
     return packVirtual(*ctx, x);
 }
 
@@ -246,12 +215,11 @@ Ciphertext
 VirtualBackend::rescale(const Ciphertext& a) const
 {
     VirtualView x = view(a);
-    MAD_REQUIRE(x.level >= 2, "cannot rescale the last limb away");
-    x.scale /= static_cast<double>(ctx->qValue(x.level - 1));
+    const shape::Shape out = shape::rescale(x, *ctx);
     x.noise_log2 = est_.rescale(NoiseBound{x.noise_log2}).log2_error;
     charge(simfhe::PrimOp::Rescale,
            query_.cost(simfhe::PrimOp::Rescale, x.level));
-    x.level -= 1;
+    static_cast<shape::Shape&>(x) = out;
     return packVirtual(*ctx, x);
 }
 
@@ -259,8 +227,7 @@ Ciphertext
 VirtualBackend::dropToLevel(const Ciphertext& a, size_t level) const
 {
     VirtualView x = view(a);
-    MAD_REQUIRE(level >= 1 && level <= x.level, "bad target level");
-    x.level = level;
+    static_cast<shape::Shape&>(x) = shape::dropToLevel(x, level);
     return packVirtual(*ctx, x);
 }
 
@@ -291,8 +258,7 @@ VirtualBackend::rotate(const Ciphertext& a, int steps,
     const u64 t = ctx->ring()->galoisElt(steps);
     if (t == 1)
         return a;
-    MAD_REQUIRE(gks.find(t) != gks.end(),
-                "missing Galois key for requested rotation");
+    shape::galoisKey(gks, t);
     VirtualView x = view(a);
     x.slots = rotateSlots(x.slots, steps);
     x.noise_log2 =
@@ -317,8 +283,7 @@ VirtualBackend::rotateHoisted(const Ciphertext& a,
             out.push_back(a);
             continue;
         }
-        MAD_REQUIRE(gks.find(t) != gks.end(),
-                    "missing Galois key for requested rotation");
+        shape::galoisKey(gks, t);
         VirtualView x = in;
         x.slots = rotateSlots(in.slots, s);
         x.noise_log2 =
@@ -342,12 +307,10 @@ VirtualBackend::matVec(const LinearTransform& t, const Ciphertext& ct,
     // key must win over a level-1 input for error parity.
     for (int s : t.requiredRotations()) {
         const u64 elt = ctx->ring()->galoisElt(s);
-        if (elt == 1)
-            continue;
-        MAD_REQUIRE(gks.find(elt) != gks.end(),
-                    "missing Galois key for requested rotation");
+        if (elt != 1)
+            shape::galoisKey(gks, elt);
     }
-    MAD_REQUIRE(x.level >= 2, "cannot rescale the last limb away");
+    const shape::Shape out = shape::matVec(x, t.ptScale(), *ctx);
 
     const double mag = x.magnitude();
     const size_t diagonals = std::max<size_t>(t.numDiagonals(), 1);
@@ -357,11 +320,9 @@ VirtualBackend::matVec(const LinearTransform& t, const Ciphertext& ct,
     // D rescaled diagonal products are summed into the output.
     nb.log2_error += std::log2(static_cast<double>(diagonals));
     x.noise_log2 = nb.log2_error;
-    x.scale = x.scale * t.ptScale() /
-              static_cast<double>(ctx->qValue(x.level - 1));
     charge(simfhe::PrimOp::PtMatVecMult,
            query_.cost(simfhe::PrimOp::PtMatVecMult, x.level, diagonals));
-    x.level -= 1;
+    static_cast<shape::Shape&>(x) = out;
     return packVirtual(*ctx, x);
 }
 

@@ -4,9 +4,9 @@
  *
  * A virtual ciphertext carries its slot values in the clear (see
  * virtual/vct.h) plus the full (level, scale, noise-estimate) state
- * machine. Every Table-2 primitive updates that state exactly as the
- * real `Evaluator` would — same level/scale arithmetic, same UserError
- * messages on invalid transitions — and charges the SimFHE-predicted
+ * machine. Every Table-2 primitive updates that state through the same
+ * `ckks/shape` transitions the real `Evaluator` uses — same level/scale
+ * arithmetic, same UserError messages — and charges the SimFHE-predicted
  * cost of the operation it stands in for via `simfhe::OpCostQuery`.
  * Noise evolves through the same `NoiseEstimator` the real path is
  * validated against, so virtual noise budgets bracket real measured
@@ -95,12 +95,14 @@ class VirtualBackend final : public EvalBackend
   private:
     /** Unpack an operand or raise the canonical UserError. */
     VirtualView view(const Ciphertext& ct) const;
-    /** Mirror of Evaluator::requireSameShape (same messages). */
-    void requireSameShape(const VirtualView& a, const VirtualView& b) const;
+    /** Strict add (or subtract) of two views, charged as one Add. */
+    Ciphertext addViews(VirtualView x, const VirtualView& y,
+                        bool subtract) const;
     /** Account one primitive: accumulate predicted cost, bump telemetry,
      *  optionally sleep the simulated latency. */
     void charge(simfhe::PrimOp op, const simfhe::Cost& cost) const;
-    /** align() twin: returns views at equal level and scale. */
+    /** Evaluator::align on views: applies shape::planAlign's drops,
+     *  charging and noise for the scalar adjustment. */
     std::pair<VirtualView, VirtualView> alignViews(const VirtualView& a,
                                                    const VirtualView& b) const;
     /** Modeled bootstrap cost, with a coarse fallback on parameter sets

@@ -35,18 +35,16 @@
 #include <string>
 #include <vector>
 
-#include "ckks/ciphertext.h"
-#include "ckks/context.h"
+#include "ckks/shape.h"
 
 namespace madfhe {
 namespace vbackend {
 
-/** The unpacked state a virtual ciphertext carries. */
-struct VirtualView
+/** The unpacked state a virtual ciphertext carries: its (level, scale)
+ *  shape, its slot values and its noise estimate. */
+struct VirtualView : shape::Shape
 {
     std::vector<std::complex<double>> slots; ///< one per context slot
-    size_t level = 0;
-    double scale = 0.0;
     /** log2 upper bound on |decoded - true| per slot (NoiseBound). */
     double noise_log2 = -1e9;
 

@@ -69,7 +69,6 @@ TEST_F(GraphShapes, MulChainTracksEvaluatorLevelAndScale)
     EXPECT_EQ(meta.level, 2u);
     // Merged Mult: scale = sa * sb / q_{level-1}, the Evaluator formula.
     EXPECT_DOUBLE_EQ(meta.scale, s * s / ctx->qValue(2));
-    EXPECT_EQ(meta.slots, ctx->slots());
 }
 
 TEST_F(GraphShapes, MirrorsEvaluatorErrorsWithoutAlignment)
@@ -468,6 +467,9 @@ TEST(GraphApps, LrTrainGraphByteIdenticalToImperative)
 
     auto want = trainer.train(*h.eval, *h.encoder, w0, features, labels,
                               h.rlk, gks);
+    // Inferred output shapes must equal the executed ones bit for bit.
+    graph::Graph compiled = trainer.buildTrainGraph();
+    graph::runPasses(compiled, *ctx);
 
     graph::PassStats stats;
     for (size_t threads : {size_t(1), size_t(4)}) {
@@ -475,9 +477,15 @@ TEST(GraphApps, LrTrainGraphByteIdenticalToImperative)
         auto got = trainer.trainGraph(backend, w0, features, labels, h.rlk,
                                       gks, {}, &stats);
         ASSERT_EQ(got.size(), want.size());
-        for (size_t j = 0; j < got.size(); ++j)
+        ASSERT_EQ(compiled.outputs().size(), got.size());
+        for (size_t j = 0; j < got.size(); ++j) {
             EXPECT_TRUE(sameBytes(got[j], want[j]))
                 << "weight " << j << " threads " << threads;
+            const graph::ValueMeta& meta =
+                compiled.metaOf(compiled.outputs()[j]);
+            EXPECT_EQ(meta.level, got[j].level()) << "weight " << j;
+            EXPECT_EQ(meta.scale, got[j].scale) << "weight " << j;
+        }
     }
     // The align pass reproduced the imperative schedule's manual drops.
     EXPECT_GT(stats.drops_inserted, 0u);
@@ -513,6 +521,10 @@ TEST(GraphApps, MlpInferGraphByteIdenticalToImperative)
     auto ct = h.encryptSlots(randomSlots(h.ctx->slots(), 13),
                              h.ctx->maxLevel());
     Ciphertext want = mlp.infer(*h.eval, *h.encoder, ct, gks, h.rlk);
+    // The logits' scale runs through every Mult and matvec rescale.
+    graph::Graph compiled = mlp.buildInferGraph();
+    graph::runPasses(compiled, *h.ctx);
+    const graph::ValueMeta& meta = compiled.metaOf(compiled.outputs()[0]);
 
     graph::PassStats stats;
     for (size_t threads : {size_t(1), size_t(4)}) {
@@ -520,6 +532,8 @@ TEST(GraphApps, MlpInferGraphByteIdenticalToImperative)
         Ciphertext got =
             mlp.inferGraph(backend, ct, gks, h.rlk, {}, &stats);
         EXPECT_TRUE(sameBytes(got, want)) << "threads " << threads;
+        EXPECT_EQ(meta.level, got.level());
+        EXPECT_EQ(meta.scale, got.scale);
     }
     EXPECT_EQ(stats.matvecs_fused, mlp.numLayers());
 }

@@ -18,6 +18,7 @@
 
 #include "ckks/noise.h"
 #include "ckks/serialize.h"
+#include "graph/passes.h"
 #include "serve/server.h"
 #include "telemetry/telemetry.h"
 #include "test_util.h"
@@ -169,44 +170,88 @@ TEST_F(VirtualTest, ErrorMessagesMatchRealEvaluatorExactly)
     const Ciphertext rv = rb->encryptReal(h->pk, vals, 11);
     const Ciphertext vv = venc(vals);
 
+    std::map<int, std::vector<std::complex<double>>> diags;
+    diags[0].assign(h->ctx->slots(), {0.5, 0.0});
+    diags[1].assign(h->ctx->slots(), {0.25, 0.0});
+    const LinearTransform lt(h->ctx, std::move(diags), h->ctx->scale());
+    const GaloisKeys lt_keys = h->makeGaloisKeys(lt.requiredRotations());
+
+    using graph::GraphBuilder;
+    using graph::NodeRef;
     struct Case
     {
         const char* what;
         std::function<void(const EvalBackend&, const Ciphertext&)> run;
+        /** The same transition on the graph IR, over one input shaped
+         *  like the operand; empty where the IR has no counterpart
+         *  (keys bind at execution, and scale alignment is no graph op). */
+        std::function<NodeRef(GraphBuilder&, NodeRef)> graph;
     };
     const std::vector<Case> cases = {
         {"ciphertext levels differ",
          [&](const EvalBackend& be, const Ciphertext& ct) {
              (void)be.add(ct, be.dropToLevel(ct, 2));
+         },
+         [&](GraphBuilder& b, NodeRef in) {
+             return b.add(in, b.dropToLevel(in, 2));
          }},
         {"ciphertext scales differ; rescale/align first",
          [&](const EvalBackend& be, const Ciphertext& ct) {
              (void)be.add(be.dropToLevel(ct, top - 1), be.rescale(ct));
+         },
+         [&](GraphBuilder& b, NodeRef in) {
+             return b.add(b.dropToLevel(in, top - 1), b.rescale(in));
          }},
         {"mul needs a level to rescale into",
          [&](const EvalBackend& be, const Ciphertext& ct) {
              const Ciphertext low = be.dropToLevel(ct, 1);
              (void)be.mul(low, low, h->rlk);
+         },
+         [&](GraphBuilder& b, NodeRef in) {
+             const NodeRef low = b.dropToLevel(in, 1);
+             return b.mul(low, low);
          }},
         {"cannot rescale the last limb away",
          [&](const EvalBackend& be, const Ciphertext& ct) {
              (void)be.rescale(be.dropToLevel(ct, 1));
+         },
+         [&](GraphBuilder& b, NodeRef in) {
+             return b.rescale(b.dropToLevel(in, 1));
          }},
         {"bad target level",
          [&](const EvalBackend& be, const Ciphertext& ct) {
              (void)be.dropToLevel(ct, top + 1);
+         },
+         [&](GraphBuilder& b, NodeRef in) {
+             return b.dropToLevel(in, top + 1);
+         }},
+        {"no level left to rescale into",
+         [&](const EvalBackend& be, const Ciphertext& ct) {
+             (void)be.mulScalarRescale(be.dropToLevel(ct, 1), 0.5);
+         },
+         [&](GraphBuilder& b, NodeRef in) {
+             return b.mulScalar(b.dropToLevel(in, 1), 0.5);
+         }},
+        {"cannot rescale the last limb away",
+         [&](const EvalBackend& be, const Ciphertext& ct) {
+             (void)be.matVec(lt, be.dropToLevel(ct, 1), lt_keys);
+         },
+         [&](GraphBuilder& b, NodeRef in) {
+             return b.matVec(b.dropToLevel(in, 1), &lt);
          }},
         {"missing Galois key for requested rotation",
          [&](const EvalBackend& be, const Ciphertext& ct) {
              (void)be.rotate(ct, 3, GaloisKeys{});
-         }},
+         },
+         {}},
         {"cannot scale-align at the last level",
          [&](const EvalBackend& be, const Ciphertext& ct) {
              // Two level-1 operands with mismatched scales: aligning
              // needs a level to rescale into and must refuse.
              (void)be.addAligned(be.dropToLevel(ct, 1),
                                  be.rescale(be.dropToLevel(ct, 2)));
-         }},
+         },
+         {}},
     };
 
     for (const Case& c : cases) {
@@ -216,6 +261,17 @@ TEST_F(VirtualTest, ErrorMessagesMatchRealEvaluatorExactly)
             userErrorMessage([&] { c.run(*vb, vv); });
         EXPECT_EQ(real_msg, c.what) << "real backend: " << c.what;
         EXPECT_EQ(virt_msg, c.what) << "virtual backend: " << c.what;
+        if (!c.graph)
+            continue;
+        const std::string graph_msg = userErrorMessage([&] {
+            GraphBuilder b;
+            b.output(c.graph(b, b.input(top, h->ctx->scale())));
+            graph::Graph g = b.build();
+            graph::PassOptions po;
+            po.align_levels = false;
+            graph::runPasses(g, *h->ctx, po);
+        });
+        EXPECT_EQ(graph_msg, c.what) << "graph: " << c.what;
     }
 }
 
