@@ -37,6 +37,9 @@ CkksContext::CkksContext(const CkksParams& params) : parms(params)
 
     ring_ctx = std::make_shared<RingContext>(n, q_primes, p_primes);
 
+    for (size_t i = 0; i < ring_ctx->numModuli(); ++i)
+        folds.push_back(simd::foldFor(ring_ctx->modulus(i)));
+
     const size_t num_q = ring_ctx->numQ();
     p_mod_q.resize(num_q);
     p_inv_mod_q.resize(num_q);

@@ -60,6 +60,13 @@ class CkksContext
      */
     const BasisConverter& mergedModDownConverter(size_t level) const;
 
+    /** MAC fold constants of ring modulus `chain_idx` (Q or P), built
+     *  once here so the key switch never divides per kernel call. */
+    const simd::Fold128& fold(size_t chain_idx) const
+    {
+        return folds[chain_idx];
+    }
+
     /** P mod q_i. */
     u64 pModQ(size_t i) const { return p_mod_q[i]; }
     /** P^{-1} mod q_i. */
@@ -87,6 +94,7 @@ class CkksContext
     CkksParams parms;
     std::shared_ptr<RingContext> ring_ctx;
 
+    std::vector<simd::Fold128> folds;
     std::vector<u64> p_mod_q;
     std::vector<u64> p_inv_mod_q;
     /** rescale_inv[lvl][i] = q_(lvl-1)^{-1} mod q_i (i < lvl-1). */

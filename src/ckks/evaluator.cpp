@@ -5,6 +5,7 @@
 
 #include "ckks/shape.h"
 #include "memtrace/trace.h"
+#include "rns/simd/simd.h"
 #include "support/faultinject.h"
 #include "support/parallel.h"
 #include "telemetry/telemetry.h"
@@ -227,8 +228,8 @@ rescalePoly(const RnsPoly& x, const CkksContext& ctx)
         MAD_TRACE_READ(xi, n * sizeof(u64));
         MAD_TRACE_READ(ci, n * sizeof(u64));
         MAD_TRACE_WRITE(oi, n * sizeof(u64));
-        for (size_t c = 0; c < n; ++c)
-            oi[c] = qi.mulShoup(qi.sub(xi[c], ci[c]), inv, inv_shoup);
+        simd::kernels().sub_mul_shoup(oi, xi, ci, n, inv, inv_shoup,
+                                      qi.value());
     });
     for (size_t i = 0; i + 1 < level; ++i)
         faultinject::guardLimb(g_fault_rescale, out.limb(i), n);

@@ -216,8 +216,7 @@ KeySwitcher::innerProduct(const std::vector<RnsPoly>& digits,
                 MAD_TRACE_WRITE(v, n * sizeof(u64));
             }
             K.mac(ops.d.data(), ops.b.data(), ops.a.data(), digits.size(),
-                  nullptr, nullptr, 0, n,
-                  simd::foldFor(ctx->ring()->modulus(chain_idx)), u, v);
+                  nullptr, nullptr, 0, n, ctx->fold(chain_idx), u, v);
         }
     });
     // Limb-sum spot check after the inner product: the accumulated (u, v)
@@ -269,14 +268,13 @@ KeySwitcher::modDown(const RnsPoly& x) const
         const Modulus& q = ctx->ring()->modulus(i);
         ctx->ring()->ntt(i).forward(corr[i].data());
         const u64 p_inv = ctx->pInvModQ(i);
-        const u64 p_inv_shoup = q.shoupPrecompute(p_inv);
         const u64* xi = x.limb(i);
         u64* oi = out.limb(i);
         MAD_TRACE_READ(xi, n * sizeof(u64));
         MAD_TRACE_READ(corr[i].data(), n * sizeof(u64));
         MAD_TRACE_WRITE(oi, n * sizeof(u64));
-        for (size_t c = 0; c < n; ++c)
-            oi[c] = q.mulShoup(q.sub(xi[c], corr[i][c]), p_inv, p_inv_shoup);
+        simd::kernels().sub_mul_shoup(oi, xi, corr[i].data(), n, p_inv,
+                                      q.shoupPrecompute(p_inv), q.value());
     });
     for (size_t i = 0; i < level; ++i)
         faultinject::guardLimb(g_fault_moddown, out.limb(i), n);
@@ -325,14 +323,13 @@ KeySwitcher::modDownMerged(const RnsPoly& x) const
         const Modulus& q = ctx->ring()->modulus(i);
         ctx->ring()->ntt(i).forward(corr[i].data());
         const u64 inv = ctx->mergedInv(level, i);
-        const u64 inv_shoup = q.shoupPrecompute(inv);
         const u64* xi = x.limb(i);
         u64* oi = out.limb(i);
         MAD_TRACE_READ(xi, n * sizeof(u64));
         MAD_TRACE_READ(corr[i].data(), n * sizeof(u64));
         MAD_TRACE_WRITE(oi, n * sizeof(u64));
-        for (size_t c = 0; c < n; ++c)
-            oi[c] = q.mulShoup(q.sub(xi[c], corr[i][c]), inv, inv_shoup);
+        simd::kernels().sub_mul_shoup(oi, xi, corr[i].data(), n, inv,
+                                      q.shoupPrecompute(inv), q.value());
     });
     for (size_t i = 0; i + 1 < level; ++i)
         faultinject::guardLimb(g_fault_moddown_merged, out.limb(i), n);
@@ -351,13 +348,12 @@ KeySwitcher::pModUp(const RnsPoly& y) const
     parallelFor(level, [&](size_t i) {
         const Modulus& q = ctx->ring()->modulus(i);
         const u64 p_mod = ctx->pModQ(i);
-        const u64 p_shoup = q.shoupPrecompute(p_mod);
         const u64* yi = y.limb(i);
         u64* oi = out.limb(i);
         MAD_TRACE_READ(yi, n * sizeof(u64));
         MAD_TRACE_WRITE(oi, n * sizeof(u64));
-        for (size_t c = 0; c < n; ++c)
-            oi[c] = q.mulShoup(yi[c], p_mod, p_shoup);
+        simd::kernels().mul_shoup_scalar(oi, yi, n, p_mod,
+                                         q.shoupPrecompute(p_mod), q.value());
     });
     for (size_t i = 0; i < level; ++i)
         faultinject::guardLimb(g_fault_pmodup, out.limb(i), n);
@@ -574,7 +570,7 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
             MAD_TRACE_READ(l1, limb_bytes);
         }
         K.mac(s.d.data(), s.b.data(), s.a.data(), beta, l0, l1, p_mod, n,
-              simd::foldFor(ctx->ring()->modulus(chain_idx)), uacc, vacc);
+              ctx->fold(chain_idx), uacc, vacc);
     };
 
     const BasisConverter& down_conv =
@@ -611,14 +607,12 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
                 ctx->ring()->ntt(i).forwardRaw(corr.data());
                 const u64 inv = merged ? ctx->mergedInv(level, i)
                                        : ctx->pInvModQ(i);
-                const u64 inv_shoup = q.shoupPrecompute(inv);
                 const u64* xi = rx.limb(i);
                 u64* oi = out.limb(i);
                 MAD_TRACE_READ(xi, limb_bytes);
                 MAD_TRACE_WRITE(oi, limb_bytes);
-                for (size_t c = 0; c < n; ++c)
-                    oi[c] = q.mulShoup(q.sub(xi[c], corr[c]), inv,
-                                       inv_shoup);
+                K.sub_mul_shoup(oi, xi, corr.data(), n, inv,
+                                q.shoupPrecompute(inv), q.value());
             }
         });
         for (size_t i = 0; i < kept; ++i)
@@ -711,13 +705,11 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
             down_conv.accumulateScaledRaw(dpu, usu.data(), n, i, corr);
             ctx->ring()->ntt(i).forwardRaw(corr);
             MAD_TRACE_WRITE(ui, limb_bytes);
-            for (size_t c = 0; c < n; ++c)
-                ui[c] = q.mulShoup(q.sub(uacc[c], corr[c]), inv, inv_shoup);
+            K.sub_mul_shoup(ui, uacc, corr, n, inv, inv_shoup, q.value());
             down_conv.accumulateScaledRaw(dpv, usv.data(), n, i, corr);
             ctx->ring()->ntt(i).forwardRaw(corr);
             MAD_TRACE_WRITE(vi, limb_bytes);
-            for (size_t c = 0; c < n; ++c)
-                vi[c] = q.mulShoup(q.sub(vacc[c], corr[c]), inv, inv_shoup);
+            K.sub_mul_shoup(vi, vacc, corr, n, inv, inv_shoup, q.value());
         }
     });
     TELEM_COUNT("stream.limbs_fused", 2 * r);

@@ -119,8 +119,7 @@ RnsPoly::add(const RnsPoly& other)
         MAD_TRACE_READ(a, limbBytes(*this));
         MAD_TRACE_READ(b, limbBytes(*this));
         MAD_TRACE_WRITE(a, limbBytes(*this));
-        for (size_t c = 0; c < n; ++c)
-            a[c] = q.add(a[c], b[c]);
+        simd::kernels().add_mod_vec(a, b, n, q.value());
     });
 }
 
@@ -136,8 +135,7 @@ RnsPoly::sub(const RnsPoly& other)
         MAD_TRACE_READ(a, limbBytes(*this));
         MAD_TRACE_READ(b, limbBytes(*this));
         MAD_TRACE_WRITE(a, limbBytes(*this));
-        for (size_t c = 0; c < n; ++c)
-            a[c] = q.sub(a[c], b[c]);
+        simd::kernels().sub_mod_vec(a, b, n, q.value());
     });
 }
 

@@ -64,6 +64,10 @@ BasisConverter::BasisConverter(const RnsBasis& from_, const RnsBasis& to_)
             MAD_REQUIRE(from[i].value() != to[j].value(),
                     "source and target bases must be disjoint");
 
+    bool narrow_sources = true;
+    for (size_t i = 0; i < from.size(); ++i)
+        narrow_sources = narrow_sources &&
+                         from[i].value() < simd::kNarrowModulusBound;
     punctured_mod.resize(to.size());
     targets.resize(to.size());
     for (size_t j = 0; j < to.size(); ++j) {
@@ -79,11 +83,15 @@ BasisConverter::BasisConverter(const RnsBasis& from_, const RnsBasis& to_)
             punctured_mod[j][i] = prod;
         }
         const u64 q_mod = from.productMod(pj);
-        targets[j] = {simd::foldFor(pj), q_mod, pj.shoupPrecompute(q_mod)};
+        targets[j] = {simd::foldFor(pj), q_mod, pj.shoupPrecompute(q_mod),
+                      pj.neg(q_mod), narrow_sources};
     }
     inv_q.resize(from.size());
-    for (size_t i = 0; i < from.size(); ++i)
-        inv_q[i] = 1.0L / static_cast<long double>(from[i].value());
+    inv_q_ld.resize(from.size());
+    for (size_t i = 0; i < from.size(); ++i) {
+        inv_q[i] = 1.0 / static_cast<double>(from[i].value());
+        inv_q_ld[i] = 1.0L / static_cast<long double>(from[i].value());
+    }
 }
 
 namespace {
@@ -177,16 +185,9 @@ void
 BasisConverter::overshootRaw(const std::vector<const u64*>& scaled, size_t n,
                              u64* us) const
 {
-    const size_t k = from.size();
-    MAD_CHECK(scaled.size() == k, "source limb count mismatch");
-    // Kept scalar and i-ascending: the long-double rounding decides
-    // us, so every backend and entry point must sum in this order.
-    for (size_t c = 0; c < n; ++c) {
-        long double frac = 0.5L;
-        for (size_t i = 0; i < k; ++i)
-            frac += static_cast<long double>(scaled[i][c]) * inv_q[i];
-        us[c] = static_cast<u64>(frac);
-    }
+    MAD_CHECK(scaled.size() == from.size(), "source limb count mismatch");
+    simd::kernels().overshoot(scaled.data(), scaled.size(), inv_q.data(),
+                              inv_q_ld.data(), n, us);
 }
 
 void

@@ -114,7 +114,9 @@ class BasisConverter
 
     /**
      * Overshoot pass: us[c] = floor(0.5 + sum_i scaled[i][c] / q_i),
-     * the round(x/Q) count ConvMode::SignedExact subtracts. `scaled`
+     * the round(x/Q) count ConvMode::SignedExact subtracts, summed in
+     * long double in ascending i (vector backends reach the same count
+     * through a double estimate; see simd::Kernels::overshoot). `scaled`
      * are scaleSourceRaw() outputs, one per source limb. No trace
      * events.
      */
@@ -138,8 +140,10 @@ class BasisConverter
     RnsBasis to;
     /** punctured_mod[j][i] = (Q/q_i) mod p_j. */
     std::vector<std::vector<u64>> punctured_mod;
-    /** 1/q_i as long double, for the overshoot estimate. */
-    std::vector<long double> inv_q;
+    /** 1/q_i as double and as long double: the overshoot kernel's
+     *  estimate and its reference formula. */
+    std::vector<double> inv_q;
+    std::vector<long double> inv_q_ld;
     /** Per-target NewLimb kernel constants: p_j's fold constants and
      *  Q mod p_j (with its Shoup preconditioner) for the overshoot
      *  correction. */

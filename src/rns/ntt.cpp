@@ -109,7 +109,7 @@ NttTables::NttTables(size_t n_, const Modulus& q_) : n(n_), q(q_)
     // FP images for the fused SIMD transform; u64 values below 2^50 are
     // exactly representable as doubles, wider moduli stay on the integer
     // path and never read these.
-    if (q.value() < (1ULL << 50)) {
+    if (q.value() < simd::kNarrowModulusBound) {
         psi_rev_fp.resize(n);
         omega_fp.resize(n);
         iomega_fp.resize(n);

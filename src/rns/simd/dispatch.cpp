@@ -84,7 +84,21 @@ Fold128
 foldFor(const Modulus& q)
 {
     const u64 r64 = q.reduce128(static_cast<u128>(1) << 64);
-    return {q.value(), r64, q.shoupPrecompute(r64), q.shoupPrecompute(1)};
+    const u64 r52 = q.reduce128(static_cast<u128>(1) << 52);
+    return {q.value(),
+            r64,
+            q.shoupPrecompute(r64),
+            q.shoupPrecompute(1),
+            r52,
+            static_cast<u64>((static_cast<u128>(r52) << 52) / q.value()),
+            (1ULL << 52) / q.value()};
+}
+
+const Kernels*
+avx512Kernels()
+{
+    const Kernels* ifma = avx512IfmaKernels();
+    return ifma ? ifma : avx512NoIfmaKernels();
 }
 
 bool
@@ -104,7 +118,7 @@ Backend
 backend()
 {
     const Kernels& k = kernels();
-    if (&k == avx512Kernels())
+    if (&k == avx512IfmaKernels() || &k == avx512NoIfmaKernels())
         return Backend::Avx512;
     if (&k == avx2Kernels())
         return Backend::Avx2;
@@ -114,7 +128,12 @@ backend()
 void
 setBackend(Backend b)
 {
-    const Kernels* t = tableFor(b);
+    setKernels(tableFor(b));
+}
+
+void
+setKernels(const Kernels* t)
+{
     MAD_REQUIRE(t != nullptr,
             "requested SIMD backend is not supported on this CPU/build");
     resolveOnce(); // keep the once-flag consumed before overriding

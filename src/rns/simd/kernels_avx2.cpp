@@ -60,6 +60,9 @@ struct Avx2Ops
     /** 1 where a < b (unsigned), else 0. */
     static V borrow1(V a, V b) { return srl(ltMask(a, b), 63); }
 
+    static __m256d castD(V a) { return _mm256_castsi256_pd(a); }
+    static V castV(__m256d a) { return _mm256_castpd_si256(a); }
+
     static V mullo64(V a, V b)
     {
         // lo64(a*b) = a0*b0 + ((a0*b1 + a1*b0) << 32)  (mod 2^64)
@@ -162,6 +165,15 @@ struct Avx2Ops
     }
 };
 
+/** AVX2 has no exact u64 -> double conversion for 62-bit residues, so
+ *  the overshoot stays on the scalar reference. */
+void
+overshoot(const u64* const* x, size_t k, const double* inv_q,
+          const long double* inv_q_ld, size_t n, u64* us)
+{
+    scalarKernels()->overshoot(x, k, inv_q, inv_q_ld, n, us);
+}
+
 const Kernels kAvx2 = {
     "avx2",
     "simd.avx2",
@@ -175,6 +187,10 @@ const Kernels kAvx2 = {
     vecimpl::newlimb<Avx2Ops>,
     vecimpl::mac<Avx2Ops>,
     vecimpl::fpTransform<Avx2Ops>,
+    overshoot,
+    vecimpl::subMulShoup<Avx2Ops>,
+    vecimpl::addModVec<Avx2Ops>,
+    vecimpl::subModVec<Avx2Ops>,
 };
 
 } // namespace

@@ -4,7 +4,8 @@
  * products are native (vpmullq, AVX-512DQ), high halves are assembled
  * from vpmuludq partials, and unsigned compares use mask registers.
  * Compiled with -mavx512f/dq/vl only when the compiler supports them;
- * the factory returns null unless the CPU reports the features.
+ * the factory returns null unless the CPU reports the features. This is
+ * the 64-bit table; kernels_avx512ifma.cpp derives the IFMA52 one.
  */
 #include "rns/simd/simd.h"
 
@@ -49,6 +50,8 @@ struct Avx512Ops
     }
 
     static V mullo64(V a, V b) { return _mm512_mullo_epi64(a, b); }
+    static __m512d castD(V a) { return _mm512_castsi512_pd(a); }
+    static V castV(__m512d a) { return _mm512_castpd_si512(a); }
     static V mulhi64(V a, V b)
     {
         const V lo32 = set1(0xFFFFFFFFULL);
@@ -141,6 +144,49 @@ struct Avx512Ops
     }
 };
 
+/**
+ * The overshoot estimated in double: s = 0.5 + sum_i x_i * (1/q_i) by
+ * vcvtuqq2pd and FMA. Against the exact sum, s errs by at most
+ * k(k+3) 2^-53 plus k 2^-106 (each conversion and each reciprocal
+ * within a relative 2^-53, each rounded FMA within 2^-53 (k+1)); the
+ * long-double reference errs by the same expression at 2^-64. Where
+ * s's fractional part keeps a margin of (k+2)^2 2^-52 (more than both
+ * together, even for a long double that is only a double) from either
+ * integer, no integer lies between s and the reference, so floor(s) is
+ * the reference's count. The rare lanes inside the margin are
+ * recomputed by the scalar table's long-double loop.
+ */
+void
+overshoot(const u64* const* x, size_t k, const double* inv_q,
+          const long double* inv_q_ld, size_t n, u64* us)
+{
+    constexpr size_t W = Avx512Ops::W;
+    const double kk = static_cast<double>(k) + 2.0;
+    const double margin = kk * kk * 0x1p-52;
+    const __m512d lo = _mm512_set1_pd(margin);
+    const __m512d hi = _mm512_set1_pd(1.0 - margin);
+    const Kernels* S = scalarKernels();
+    size_t c = 0;
+    for (; c + W <= n; c += W) {
+        __m512d s = _mm512_set1_pd(0.5);
+        for (size_t i = 0; i < k; ++i)
+            s = _mm512_fmadd_pd(_mm512_cvtepu64_pd(Avx512Ops::load(x[i] + c)),
+                                _mm512_set1_pd(inv_q[i]), s);
+        const __m512d f = _mm512_roundscale_pd(
+            s, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+        const __m512d frac = _mm512_sub_pd(s, f); // exact
+        const __mmask8 near = _mm512_cmp_pd_mask(frac, lo, _CMP_LT_OQ) |
+                              _mm512_cmp_pd_mask(frac, hi, _CMP_GT_OQ);
+        Avx512Ops::store(us + c, _mm512_cvtpd_epu64(f));
+        if (near != 0)
+            S->overshoot(vecimpl::offsetPtrs(x, k, c).data(), k, inv_q,
+                         inv_q_ld, W, us + c);
+    }
+    if (c < n)
+        S->overshoot(vecimpl::offsetPtrs(x, k, c).data(), k, inv_q, inv_q_ld,
+                     n - c, us + c);
+}
+
 const Kernels kAvx512 = {
     "avx512",
     "simd.avx512",
@@ -154,12 +200,16 @@ const Kernels kAvx512 = {
     vecimpl::newlimb<Avx512Ops>,
     vecimpl::mac<Avx512Ops>,
     vecimpl::fpTransform<Avx512Ops>,
+    overshoot,
+    vecimpl::subMulShoup<Avx512Ops>,
+    vecimpl::addModVec<Avx512Ops>,
+    vecimpl::subModVec<Avx512Ops>,
 };
 
 } // namespace
 
 const Kernels*
-avx512Kernels()
+avx512NoIfmaKernels()
 {
     static const bool runnable = __builtin_cpu_supports("avx512f") &&
                                  __builtin_cpu_supports("avx512dq") &&
@@ -176,7 +226,7 @@ namespace madfhe {
 namespace simd {
 
 const Kernels*
-avx512Kernels()
+avx512NoIfmaKernels()
 {
     return nullptr;
 }

@@ -176,11 +176,52 @@ mac(const u64* const* d, const u64* const* b, const u64* const* a,
     }
 }
 
+void
+overshoot(const u64* const* x, size_t k, const double* /*inv_q*/,
+          const long double* inv_q_ld, size_t n, u64* us)
+{
+    for (size_t c = 0; c < n; ++c) {
+        long double frac = 0.5L;
+        for (size_t i = 0; i < k; ++i)
+            frac += static_cast<long double>(x[i][c]) * inv_q_ld[i];
+        us[c] = static_cast<u64>(frac);
+    }
+}
+
+inline u64
+subMod(u64 a, u64 b, u64 q)
+{
+    return a >= b ? a - b : a + q - b;
+}
+
+void
+subMulShoup(u64* dst, const u64* x, const u64* y, size_t n, u64 w,
+            u64 w_shoup, u64 q)
+{
+    for (size_t c = 0; c < n; ++c)
+        dst[c] = mulShoup(subMod(x[c], y[c], q), w, w_shoup, q);
+}
+
+void
+addModVec(u64* a, const u64* b, size_t n, u64 q)
+{
+    for (size_t i = 0; i < n; ++i)
+        a[i] = addMod(a[i], b[i], q);
+}
+
+void
+subModVec(u64* a, const u64* b, size_t n, u64 q)
+{
+    for (size_t i = 0; i < n; ++i)
+        a[i] = subMod(a[i], b[i], q);
+}
+
 const Kernels kScalar = {
     "scalar",    "simd.scalar",  1,         nttStage,     reduce4q,
     mulShoupVec, mulShoupScalar, mulModVec, addMulModVec, newlimb,
     mac,
     nullptr, // fp_transform: the unfused scalar path IS the reference
+    overshoot,   subMulShoup,    addModVec, subModVec,
 };
 
 } // namespace

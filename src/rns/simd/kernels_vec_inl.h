@@ -35,31 +35,76 @@ mulShoupLazyV(typename Ops::V a, typename Ops::V w, typename Ops::V ws,
     return Ops::sub(Ops::mullo64(a, w), Ops::mullo64(hi, vq));
 }
 
+/** (a - b) mod q for canonical a, b: a + q - b lies in [1, 2q), and one
+ *  conditional subtract gives the scalar result. */
+template <class Ops>
+inline typename Ops::V
+subModV(typename Ops::V a, typename Ops::V b, typename Ops::V vq)
+{
+    return Ops::csub(Ops::sub(Ops::add(a, vq), b), vq);
+}
+
+/** One Harvey butterfly per lane: x' = x + t, y' = x + 2q - t with
+ *  x conditionally brought under 2q and t = mulShoupLazy(y, w). */
+template <class Ops>
+inline void
+butterflyV(typename Ops::V* x, typename Ops::V* y, typename Ops::V w,
+           typename Ops::V ws, typename Ops::V vq, typename Ops::V v2q)
+{
+    const auto xr = Ops::csub(*x, v2q);
+    const auto t = mulShoupLazyV<Ops>(*y, w, ws, vq);
+    *x = Ops::add(xr, t);
+    *y = Ops::sub(Ops::add(xr, v2q), t);
+}
+
 template <class Ops>
 void
 nttStage(u64* p, size_t n, size_t m, const u64* tw, const u64* tw_shoup,
          u64 q, u64 two_q)
 {
     constexpr size_t W = Ops::W;
-    if (m < W) {
-        // First log2(W) stages: too narrow to vectorize over j.
-        scalarKernels()->ntt_stage(p, n, m, tw, tw_shoup, q, two_q);
-        return;
-    }
     const auto vq = Ops::set1(q);
     const auto v2q = Ops::set1(two_q);
+    if (m < W) {
+        // First log2(W) stages: each 2W-coefficient pair of vectors
+        // holds whole butterfly blocks, which split()/join() (the FP
+        // transform's lane shuffles, bit-cast) separate into x/y lanes.
+        // Lane l uses twiddle l & (m - 1).
+        if (n < 2 * W) {
+            scalarKernels()->ntt_stage(p, n, m, tw, tw_shoup, q, two_q);
+            return;
+        }
+        u64 wbuf[W], wsbuf[W];
+        for (size_t l = 0; l < W; ++l) {
+            wbuf[l] = tw[l & (m - 1)];
+            wsbuf[l] = tw_shoup[l & (m - 1)];
+        }
+        const auto w = Ops::load(wbuf);
+        const auto ws = Ops::load(wsbuf);
+        for (size_t i = 0; i < n; i += 2 * W) {
+            typename Ops::D a = Ops::castD(Ops::load(p + i));
+            typename Ops::D b = Ops::castD(Ops::load(p + i + W));
+            typename Ops::D xd, yd;
+            Ops::split(a, b, m, &xd, &yd);
+            auto x = Ops::castV(xd);
+            auto y = Ops::castV(yd);
+            butterflyV<Ops>(&x, &y, w, ws, vq, v2q);
+            Ops::join(Ops::castD(x), Ops::castD(y), m, &a, &b);
+            Ops::store(p + i, Ops::castV(a));
+            Ops::store(p + i + W, Ops::castV(b));
+        }
+        return;
+    }
     for (size_t i = 0; i < n; i += 2 * m) {
         u64* x_ptr = p + i;
         u64* y_ptr = p + i + m;
         for (size_t j = 0; j < m; j += W) {
             auto x = Ops::load(x_ptr + j);
             auto y = Ops::load(y_ptr + j);
-            auto w = Ops::load(tw + j);
-            auto ws = Ops::load(tw_shoup + j);
-            x = Ops::csub(x, v2q);
-            auto t = mulShoupLazyV<Ops>(y, w, ws, vq);
-            Ops::store(x_ptr + j, Ops::add(x, t));
-            Ops::store(y_ptr + j, Ops::sub(Ops::add(x, v2q), t));
+            butterflyV<Ops>(&x, &y, Ops::load(tw + j),
+                            Ops::load(tw_shoup + j), vq, v2q);
+            Ops::store(x_ptr + j, x);
+            Ops::store(y_ptr + j, y);
         }
     }
 }
@@ -117,6 +162,53 @@ mulShoupScalar(u64* dst, const u64* src, size_t n, u64 w, u64 w_shoup,
     if (i < n)
         scalarKernels()->mul_shoup_scalar(dst + i, src + i, n - i, w,
                                           w_shoup, q);
+}
+
+template <class Ops>
+void
+subMulShoup(u64* dst, const u64* x, const u64* y, size_t n, u64 w,
+            u64 w_shoup, u64 q)
+{
+    constexpr size_t W = Ops::W;
+    const auto vq = Ops::set1(q);
+    const auto vw = Ops::set1(w);
+    const auto vws = Ops::set1(w_shoup);
+    size_t i = 0;
+    for (; i + W <= n; i += W) {
+        auto d = subModV<Ops>(Ops::load(x + i), Ops::load(y + i), vq);
+        Ops::store(dst + i, Ops::csub(mulShoupLazyV<Ops>(d, vw, vws, vq), vq));
+    }
+    if (i < n)
+        scalarKernels()->sub_mul_shoup(dst + i, x + i, y + i, n - i, w,
+                                       w_shoup, q);
+}
+
+template <class Ops>
+void
+addModVec(u64* a, const u64* b, size_t n, u64 q)
+{
+    constexpr size_t W = Ops::W;
+    const auto vq = Ops::set1(q);
+    size_t i = 0;
+    for (; i + W <= n; i += W)
+        Ops::store(a + i, Ops::csub(Ops::add(Ops::load(a + i),
+                                             Ops::load(b + i)),
+                                    vq));
+    if (i < n)
+        scalarKernels()->add_mod_vec(a + i, b + i, n - i, q);
+}
+
+template <class Ops>
+void
+subModVec(u64* a, const u64* b, size_t n, u64 q)
+{
+    constexpr size_t W = Ops::W;
+    const auto vq = Ops::set1(q);
+    size_t i = 0;
+    for (; i + W <= n; i += W)
+        Ops::store(a + i, subModV<Ops>(Ops::load(a + i), Ops::load(b + i), vq));
+    if (i < n)
+        scalarKernels()->sub_mod_vec(a + i, b + i, n - i, q);
 }
 
 /**
@@ -251,7 +343,7 @@ fpTransform(u64* p, size_t n, const double* pre_rev, const double* tw,
 {
     using D = typename Ops::D;
     constexpr size_t W = Ops::W;
-    if (q >= (1ULL << 50) || n < 2 * W)
+    if (q >= kNarrowModulusBound || n < 2 * W)
         return false;
 
     const double qs = static_cast<double>(q);

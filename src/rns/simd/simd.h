@@ -7,7 +7,9 @@
  * The backend is resolved once per process from `MADFHE_SIMD`
  * (`off|avx2|avx512|auto`, default `auto`) intersected with CPUID
  * feature bits; the scalar table is the always-correct fallback and the
- * reference semantics. Every vector kernel is *bit-exact* against the
+ * reference semantics. On CPUs with avx512ifma, the AVX-512 backend runs
+ * IFMA52 bodies of `newlimb`, `mac` and the broadcast Shoup kernels for
+ * moduli below 2^50. Every vector kernel is *bit-exact* against the
  * scalar implementation — not merely value-equal modulo q but identical
  * canonical residues in [0, q) — so memtrace replay, the 1-vs-N-thread
  * determinism suite and seed-compressed ciphertext expansion remain
@@ -33,10 +35,22 @@ enum class Backend : u8
     Avx512 = 2,
 };
 
+/** Moduli below this bound qualify for the fused FP transform (values
+ *  convert to double exactly, with room for its growth ledger) and for
+ *  the IFMA52 bodies (2q < 2^51, so every lazy Shoup result fits the
+ *  52-bit multiplier inputs). */
+constexpr u64 kNarrowModulusBound = 1ULL << 50;
+
 /**
- * Constants that fold a 128-bit lazy sum hi * 2^64 + lo into [0, q):
+ * Constants that fold a lazy sum of products into [0, q).
+ *
+ * The 64-bit bodies keep a 128-bit sum hi * 2^64 + lo and fold it as
  * hi * (2^64 mod q) by Shoup plus lo reduced with the quotient estimate
  * floor(lo * pre1 / 2^64), pre1 = floor(2^64 / q).
+ *
+ * The IFMA52 bodies (q < kNarrowModulusBound) keep two 64-bit sums of
+ * 52-bit product halves, lo + hi * 2^52, and fold them with the
+ * 52-bit Shoup constants below: hi * (2^52 mod q) and lo mod q.
  */
 struct Fold128
 {
@@ -44,9 +58,13 @@ struct Fold128
     u64 r64;       ///< 2^64 mod q
     u64 r64_shoup; ///< shoupPrecompute(r64)
     u64 pre1;      ///< floor(2^64 / q) = shoupPrecompute(1)
+    u64 r52;       ///< 2^52 mod q
+    u64 r52_shoup; ///< floor(r52 * 2^52 / q), the 52-bit Shoup constant
+    u64 pre52;     ///< floor(2^52 / q)
 };
 
-/** Fold128 constants of modulus q. */
+/** Fold128 constants of modulus q. It divides 128-bit values three
+ *  times: build it once per modulus, not per kernel call. */
 Fold128 foldFor(const Modulus& q);
 
 /** A NewLimb target modulus p: its fold constants plus Q mod p (the
@@ -57,6 +75,12 @@ struct NewLimbTarget
     Fold128 fold;
     u64 q_mod;
     u64 q_mod_shoup;
+    /** (p - Q mod p) mod p: the IFMA body adds us * neg_q_mod as one
+     *  more product instead of subtracting us * (Q mod p). */
+    u64 neg_q_mod;
+    /** Every source modulus is below kNarrowModulusBound, so source
+     *  residues fit the 52-bit multiplier inputs. */
+    bool narrow_sources;
 };
 
 /**
@@ -95,8 +119,9 @@ struct Kernels
                           size_t n, u64 q);
 
     /**
-     * Broadcast Shoup multiply: dst[i] = mulShoup(src[i], w, w_shoup).
-     * dst may alias src (in-place).
+     * Broadcast Shoup multiply: dst[i] = mulShoup(src[i], w, w_shoup)
+     * for src[i] < q (the IFMA52 body, q < 2^50, reads 52 bits of each
+     * input). dst may alias src (in-place).
      */
     void (*mul_shoup_scalar)(u64* dst, const u64* src, size_t n, u64 w,
                              u64 w_shoup, u64 q);
@@ -112,9 +137,11 @@ struct Kernels
      * NewLimb (Equation 1) into one whole target limb:
      *   out[c] = (sum_i src[i][c] * punct[i] - us[c] * (Q mod p)) mod p
      * for c in [0, n), with the us term dropped when `us` is null
-     * (ConvMode::Approx). `src` holds k pointers to scaled source
-     * residues. Products are summed lazily in 128 bits and folded every
-     * 16 terms; us[c] * (Q mod p) is a Shoup multiply.
+     * (ConvMode::Approx). `src` holds k pointers to canonical scaled
+     * source residues. Products are summed lazily in 128 bits and
+     * folded every 16 terms; us[c] * (Q mod p) is a Shoup multiply. The
+     * IFMA52 body runs instead when p is below kNarrowModulusBound and
+     * t.narrow_sources holds.
      */
     void (*newlimb)(const u64* const* src, size_t k, const u64* us,
                     size_t n, const u64* punct, const NewLimbTarget& t,
@@ -127,8 +154,10 @@ struct Kernels
      * over `terms` digits, with the lift terms dropped when lift_u and
      * lift_v are null. Each d[j] is loaded once for both outputs, and the
      * sums are accumulated lazily in 128 bits with the NewLimb fold.
-     * u and v may alias any d[j]: every coefficient's inputs are read
-     * before its outputs are written.
+     * All inputs are canonical residues mod q; the IFMA52 body runs
+     * instead when q is below kNarrowModulusBound. u and v may alias
+     * any d[j]: every coefficient's inputs are read before its outputs
+     * are written.
      */
     void (*mac)(const u64* const* d, const u64* const* b,
                 const u64* const* a, size_t terms, const u64* lift_u,
@@ -158,6 +187,32 @@ struct Kernels
      */
     bool (*fp_transform)(u64* p, size_t n, const double* pre_rev,
                          const double* tw, const double* post, u64 q);
+
+    /**
+     * Overshoot count of ConvMode::SignedExact:
+     *   us[c] = floor(0.5L + sum_i x[i][c] * inv_q_ld[i])
+     * summed in long double in ascending i — the scalar table computes
+     * exactly that. A vector body may estimate the sum in double
+     * (`inv_q` holds 1/q_i rounded to double) and must recompute with
+     * the long-double formula every lane whose estimate lies within its
+     * error margin of an integer, so us is identical on every backend.
+     */
+    void (*overshoot)(const u64* const* x, size_t k, const double* inv_q,
+                      const long double* inv_q_ld, size_t n, u64* us);
+
+    /**
+     * ModDown subtract-and-scale:
+     *   dst[c] = mulShoup((x[c] - y[c]) mod q, w, w_shoup)
+     * for canonical x, y. dst may alias x.
+     */
+    void (*sub_mul_shoup)(u64* dst, const u64* x, const u64* y, size_t n,
+                          u64 w, u64 w_shoup, u64 q);
+
+    /** a[i] = (a[i] + b[i]) mod q for canonical a, b. */
+    void (*add_mod_vec)(u64* a, const u64* b, size_t n, u64 q);
+
+    /** a[i] = (a[i] - b[i]) mod q for canonical a, b. */
+    void (*sub_mod_vec)(u64* a, const u64* b, size_t n, u64 q);
 };
 
 /** True when this process can execute `b` (CPUID + compile support). */
@@ -178,6 +233,10 @@ const Kernels& kernels();
 /** Programmatic override (tests, perf_gate); requires supported(b). */
 void setBackend(Backend b);
 
+/** Internal: install one per-ISA table directly (tests comparing the
+ *  IFMA52 and 64-bit AVX-512 bodies); `t` must be runnable. */
+void setKernels(const Kernels* t);
+
 /** Display name of `b` ("scalar", "avx2", "avx512"). */
 const char* backendName(Backend b);
 
@@ -187,10 +246,17 @@ const char* activeName();
 /** Telemetry span label of the active backend ("simd.avx2", ...). */
 const char* activeSpanLabel();
 
-/** Internal: per-ISA tables; null when not compiled or not runnable. */
+/**
+ * Internal: per-ISA tables; null when not compiled or not runnable.
+ * avx512Kernels() is the table Backend::Avx512 runs: the IFMA52 table
+ * when the CPU reports avx512ifma, else the 64-bit one. The other two
+ * name one body set each.
+ */
 const Kernels* scalarKernels();
 const Kernels* avx2Kernels();
 const Kernels* avx512Kernels();
+const Kernels* avx512NoIfmaKernels();
+const Kernels* avx512IfmaKernels();
 
 } // namespace simd
 } // namespace madfhe

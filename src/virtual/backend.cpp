@@ -171,10 +171,11 @@ VirtualBackend::alignViews(const VirtualView& a, const VirtualView& b) const
         const VirtualView& other = plan.adjust == 0 ? y : x;
         // mulScalarRescale: slot values are unchanged (the scalar and
         // the scale change cancel); one PtMult+Rescale worth of noise
-        // lands on the adjusted operand.
-        big.noise_log2 = est_.mulPlain(NoiseBound{big.noise_log2},
-                                       std::abs(plan.ratio), big.magnitude())
-                             .log2_error;
+        // lands on the adjusted operand, as mulScalarRescale() models it.
+        big.noise_log2 =
+            est_.rescale(est_.mulPlain(NoiseBound{big.noise_log2},
+                                       std::abs(plan.ratio), big.magnitude()))
+                .log2_error;
         big.scale = other.scale;
         charge(simfhe::PrimOp::PtMult,
                query_.cost(simfhe::PrimOp::PtMult, plan.level));

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "test_util.h"
 
 namespace madfhe {
@@ -381,4 +383,18 @@ INSTANTIATE_TEST_SUITE_P(Shapes, CkksParamSweep,
                       sweepParams(12, 4, 4)));
 
 } // namespace
+
+/**
+ * Prints a CkksParamSweep case as its shape, e.g. n10_L2_d1 (log_n,
+ * levels, dnum). gtest_discover_tests names each ctest entry after this
+ * value; without it gtest would print the struct's raw bytes, padding
+ * included. (A name generator would not reach the ctest name: CMake
+ * then keeps the whole "# GetParam() = ..." comment in it.)
+ */
+void
+PrintTo(const CkksParams& p, std::ostream* os)
+{
+    *os << "n" << p.log_n << "_L" << p.num_levels << "_d" << p.dnum;
+}
+
 } // namespace madfhe

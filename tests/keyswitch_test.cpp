@@ -249,17 +249,17 @@ TEST_F(KeySwitchTest, KeySwitchMergedByteIdenticalAcrossStreamPolicies)
 }
 
 /** Select a SIMD backend; the previous one comes back on scope exit. */
-class ScopedBackend
+class ScopedKernels
 {
   public:
-    explicit ScopedBackend(simd::Backend b) : prev(simd::backend())
+    explicit ScopedKernels(const simd::Kernels* k) : prev(&simd::kernels())
     {
-        simd::setBackend(b);
+        simd::setKernels(k);
     }
-    ~ScopedBackend() { simd::setBackend(prev); }
+    ~ScopedKernels() { simd::setKernels(prev); }
 
   private:
-    simd::Backend prev;
+    const simd::Kernels* prev;
 };
 
 /** Plain (u, v) then merged (u, v): the four polynomials one key-switch
@@ -287,16 +287,21 @@ samplePoly(const CkksContext& ctx, size_t level, Sampler& s)
 TEST_F(KeySwitchTest, KeySwitchByteIdenticalAcrossBackends)
 {
     // The scalar kernel table under the materializing Off composition at
-    // one thread is the reference. Every runnable backend must reproduce
+    // one thread is the reference. Every runnable table must reproduce
     // it byte for byte under every stream policy, at 1 and 4 threads,
-    // for the plain and the merged key switch.
+    // for the plain and the merged key switch: scalar, AVX2, and AVX-512
+    // with both its 64-bit and its IFMA52 kernel bodies (the unit
+    // parameters' 35- and 45-bit moduli are inside the IFMA52 domain).
     KeyGenerator keygen(h->ctx);
     SwitchingKey ksk = keygen.galoisKey(h->sk, 5);
     const auto& ksw = h->eval->keySwitcher();
-    std::vector<simd::Backend> backends = {simd::Backend::Scalar};
-    for (simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512})
-        if (simd::supported(b))
-            backends.push_back(b);
+    std::vector<std::pair<const simd::Kernels*, const char*>> tables;
+    for (auto t : {std::make_pair(simd::scalarKernels(), "scalar"),
+                   std::make_pair(simd::avx2Kernels(), "avx2"),
+                   std::make_pair(simd::avx512NoIfmaKernels(), "avx512"),
+                   std::make_pair(simd::avx512IfmaKernels(), "avx512+ifma")})
+        if (t.first != nullptr)
+            tables.push_back(t);
     for (size_t level = 2; level <= h->ctx->maxLevel(); ++level) {
         Sampler s(3000 + level);
         const RnsPoly x = samplePoly(*h->ctx, level, s);
@@ -304,15 +309,15 @@ TEST_F(KeySwitchTest, KeySwitchByteIdenticalAcrossBackends)
         const RnsPoly d1 = samplePoly(*h->ctx, level, s);
         SwitchOutputs ref;
         {
-            ScopedBackend sb(simd::Backend::Scalar);
+            ScopedKernels sk(simd::scalarKernels());
             ScopedStreamPolicy off(StreamPolicy::Off);
             ScopedThreads st(1);
             ref = switchBoth(ksw, x, ksk, h->rlk, d0, d1);
         }
-        for (simd::Backend b : backends) {
+        for (const auto& [table, label] : tables) {
             for (StreamPolicy p : kStreamPolicies) {
                 for (size_t threads : {size_t{1}, size_t{4}}) {
-                    ScopedBackend sb(b);
+                    ScopedKernels sk(table);
                     ScopedStreamPolicy sp(p);
                     ScopedThreads st(threads);
                     const SwitchOutputs got =
@@ -320,7 +325,7 @@ TEST_F(KeySwitchTest, KeySwitchByteIdenticalAcrossBackends)
                     for (size_t k = 0; k < got.size(); ++k)
                         EXPECT_TRUE(got[k].equals(ref[k]))
                             << "output " << k << " diverges: backend "
-                            << simd::backendName(b) << " policy "
+                            << label << " policy "
                             << streamPolicyName(p) << " level " << level
                             << " threads " << threads;
                 }

@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "ckks/encryptor.h"
 #include "ckks/serialize.h"
@@ -55,6 +58,34 @@ struct ScopedBackend
     ~ScopedBackend() { simd::setBackend(simd::Backend::Scalar); }
 };
 
+/** RAII: run one per-ISA table, then restore the scalar backend. */
+struct ScopedKernels
+{
+    explicit ScopedKernels(const simd::Kernels* k) { simd::setKernels(k); }
+    ~ScopedKernels() { simd::setBackend(simd::Backend::Scalar); }
+};
+
+/** A runnable kernel table and the name tests report it under. */
+struct Table
+{
+    const simd::Kernels* k;
+    const char* label;
+};
+
+/** Every runnable vector table: AVX2, AVX-512 with its 64-bit
+ *  newlimb/mac bodies, and AVX-512 with the IFMA52 ones. */
+std::vector<Table>
+vectorTables()
+{
+    std::vector<Table> out;
+    for (Table t : {Table{simd::avx2Kernels(), "avx2"},
+                    Table{simd::avx512NoIfmaKernels(), "avx512"},
+                    Table{simd::avx512IfmaKernels(), "avx512+ifma"}})
+        if (t.k != nullptr)
+            out.push_back(t);
+    return out;
+}
+
 TEST(SimdDispatch, ScalarIsAlwaysAvailable)
 {
     EXPECT_TRUE(simd::supported(simd::Backend::Scalar));
@@ -66,10 +97,44 @@ TEST(SimdDispatch, ScalarIsAlwaysAvailable)
 }
 
 /**
+ * Backend::Avx512 runs the IFMA52 bodies exactly when the CPU has
+ * avx512ifma, and that table differs from the 64-bit one in newlimb,
+ * mac and the two broadcast Shoup kernels only. Prints whether this
+ * suite tests the IFMA52 bodies: CI runners may lack avx512ifma, and the
+ * table-sweeping cases then cover the 64-bit bodies only.
+ */
+TEST(SimdDispatch, Avx512RunsIfmaBodiesWhenTheCpuHasThem)
+{
+    const simd::Kernels* ifma = simd::avx512IfmaKernels();
+    const simd::Kernels* base = simd::avx512NoIfmaKernels();
+    std::printf("[ SIMD     ] IFMA52 kernel bodies: %s\n",
+                ifma ? "tested by this suite (CPU has avx512ifma)"
+                     : "not tested (no avx512ifma on this CPU/build)");
+    if (ifma == nullptr) {
+        EXPECT_EQ(simd::avx512Kernels(), base);
+        GTEST_SKIP() << "CPU or compiler lacks avx512ifma";
+    }
+    ASSERT_NE(base, nullptr);
+    EXPECT_EQ(simd::avx512Kernels(), ifma);
+    EXPECT_NE(ifma->newlimb, base->newlimb);
+    EXPECT_NE(ifma->mac, base->mac);
+    EXPECT_NE(ifma->mul_shoup_scalar, base->mul_shoup_scalar);
+    EXPECT_NE(ifma->sub_mul_shoup, base->sub_mul_shoup);
+    EXPECT_EQ(ifma->ntt_stage, base->ntt_stage);
+    EXPECT_EQ(ifma->fp_transform, base->fp_transform);
+    EXPECT_EQ(ifma->overshoot, base->overshoot);
+    EXPECT_STREQ(ifma->name, "avx512");
+    ScopedKernels sk(base);
+    EXPECT_EQ(simd::backend(), simd::Backend::Avx512);
+}
+
+/**
  * NTT/iNTT byte identity over ring sizes and prime widths spanning both
  * kernel regimes: < 2^50 engages the fused error-free FMA transform on
- * vector backends, >= 2^50 falls back to the integer Harvey path, and
- * 61 bits sits just under the q < 2^62 lazy-reduction ceiling.
+ * vector backends, >= 2^50 falls back to the integer Harvey path (whose
+ * first log2(W) stages shuffle lanes within vector pairs, and run
+ * scalar below 2W coefficients), and 61 bits sits just under the
+ * q < 2^62 lazy-reduction ceiling.
  */
 TEST(SimdNtt, BitExactAcrossSizesAndPrimeShapes)
 {
@@ -77,8 +142,9 @@ TEST(SimdNtt, BitExactAcrossSizesAndPrimeShapes)
     if (backends.empty())
         GTEST_SKIP() << "no vector backend runnable on this host";
 
-    for (size_t n : {size_t{8}, size_t{64}, size_t{1024}, size_t{8192}}) {
-        for (unsigned bits : {28u, 40u, 45u, 49u, 50u, 54u, 60u, 61u}) {
+    for (size_t n : {size_t{8}, size_t{16}, size_t{32}, size_t{64},
+                     size_t{1024}, size_t{8192}}) {
+        for (unsigned bits : {28u, 40u, 45u, 49u, 50u, 53u, 54u, 60u, 61u}) {
             const Modulus q(generateNttPrimes(bits, n, 1)[0]);
             const NttTables tab(n, q);
             const auto coeff = randomResidues(n, q, 1000 + bits);
@@ -144,20 +210,42 @@ TEST(SimdNtt, BatchMatchesPerLimb)
 TEST(SimdPointwise, BitExactIncludingTails)
 {
     const size_t n = 1003; // not a multiple of 4 or 8: exercises tails
-    for (unsigned bits : {30u, 45u, 61u}) {
+    // 30-50 bits: inside the IFMA52 domain (50 = the largest NTT primes
+    // below 2^50); 61: the 64-bit bodies.
+    for (unsigned bits : {30u, 45u, 50u, 61u}) {
         const Modulus q(generateNttPrimes(bits, 1 << 8, 1)[0]);
-        const auto a0 = randomResidues(n, q, 7 * bits);
-        const auto b0 = randomResidues(n, q, 9 * bits);
+        auto a0 = randomResidues(n, q, 7 * bits);
+        auto b0 = randomResidues(n, q, 9 * bits);
+        // Edge lanes: equal operands, 0 - (q - 1), (q - 1) + (q - 1).
+        a0[0] = b0[0];
+        a0[1] = 0;
+        b0[1] = q.value() - 1;
+        a0[2] = b0[2] = q.value() - 1;
         const auto acc0 = randomResidues(n, q, 11 * bits);
         std::vector<u64> w(n), w_shoup(n);
         for (size_t i = 0; i < n; ++i) {
             w[i] = b0[i];
             w_shoup[i] = q.shoupPrecompute(w[i]);
         }
-        const u64 ws = b0[0];
+        const u64 ws = q.value() - 1; // the largest broadcast factor
         const u64 ws_pre = q.shoupPrecompute(ws);
 
         const simd::Kernels* S = simd::scalarKernels();
+        const u64 inv = b0[1];
+        const u64 inv_shoup = q.shoupPrecompute(inv);
+        auto add_ref = a0;
+        S->add_mod_vec(add_ref.data(), b0.data(), n, q.value());
+        auto sub_ref = a0;
+        S->sub_mod_vec(sub_ref.data(), b0.data(), n, q.value());
+        std::vector<u64> down_ref(n);
+        S->sub_mul_shoup(down_ref.data(), a0.data(), b0.data(), n, inv,
+                         inv_shoup, q.value());
+        for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(add_ref[i], q.add(a0[i], b0[i]));
+            ASSERT_EQ(sub_ref[i], q.sub(a0[i], b0[i]));
+            ASSERT_EQ(down_ref[i],
+                      q.mulShoup(q.sub(a0[i], b0[i]), inv, inv_shoup));
+        }
         auto mul_ref = a0;
         S->mul_mod_vec(mul_ref.data(), b0.data(), n, q);
         auto fma_ref = acc0;
@@ -169,24 +257,32 @@ TEST(SimdPointwise, BitExactIncludingTails)
         S->mul_shoup_scalar(bcast_ref.data(), a0.data(), n, ws, ws_pre,
                             q.value());
 
-        for (const simd::Kernels* V :
-             {simd::avx2Kernels(), simd::avx512Kernels()}) {
-            if (!V)
-                continue;
+        for (const Table& t : vectorTables()) {
+            const simd::Kernels* V = t.k;
+            auto add = a0;
+            V->add_mod_vec(add.data(), b0.data(), n, q.value());
+            EXPECT_EQ(add, add_ref) << t.label << " bits=" << bits;
+            auto sub = a0;
+            V->sub_mod_vec(sub.data(), b0.data(), n, q.value());
+            EXPECT_EQ(sub, sub_ref) << t.label << " bits=" << bits;
+            auto down = a0; // in place: dst aliases x
+            V->sub_mul_shoup(down.data(), down.data(), b0.data(), n, inv,
+                             inv_shoup, q.value());
+            EXPECT_EQ(down, down_ref) << t.label << " bits=" << bits;
             auto mul = a0;
             V->mul_mod_vec(mul.data(), b0.data(), n, q);
-            EXPECT_EQ(mul, mul_ref) << V->name << " bits=" << bits;
+            EXPECT_EQ(mul, mul_ref) << t.label << " bits=" << bits;
             auto fma = acc0;
             V->add_mul_mod_vec(fma.data(), a0.data(), b0.data(), n, q);
-            EXPECT_EQ(fma, fma_ref) << V->name << " bits=" << bits;
+            EXPECT_EQ(fma, fma_ref) << t.label << " bits=" << bits;
             auto shoup = a0;
             V->mul_shoup_vec(shoup.data(), w.data(), w_shoup.data(), n,
                              q.value());
-            EXPECT_EQ(shoup, shoup_ref) << V->name << " bits=" << bits;
+            EXPECT_EQ(shoup, shoup_ref) << t.label << " bits=" << bits;
             std::vector<u64> bcast(n);
             V->mul_shoup_scalar(bcast.data(), a0.data(), n, ws, ws_pre,
                                 q.value());
-            EXPECT_EQ(bcast, bcast_ref) << V->name << " bits=" << bits;
+            EXPECT_EQ(bcast, bcast_ref) << t.label << " bits=" << bits;
         }
     }
 }
@@ -212,8 +308,8 @@ TEST(SimdBasis, ConvertBitExactAcrossBackends)
         in_ptrs.push_back(in[i].data());
     }
 
-    auto run = [&](simd::Backend b) {
-        ScopedBackend sb(b);
+    auto run = [&](const simd::Kernels* K) {
+        ScopedKernels sk(K);
         std::vector<std::vector<u64>> out(to.size(), std::vector<u64>(n));
         std::vector<u64*> out_ptrs;
         for (auto& limb : out)
@@ -222,9 +318,9 @@ TEST(SimdBasis, ConvertBitExactAcrossBackends)
         return out;
     };
 
-    const auto ref = run(simd::Backend::Scalar);
-    for (simd::Backend b : vectorBackends())
-        EXPECT_EQ(run(b), ref) << simd::backendName(b);
+    const auto ref = run(simd::scalarKernels());
+    for (const Table& t : vectorTables())
+        EXPECT_EQ(run(t.k), ref) << t.label;
 }
 
 /** (a * b) mod m in plain u128 arithmetic: the independent reference
@@ -273,101 +369,201 @@ struct NewLimbOutputs
     }
 };
 
+/** A NewLimb test shape: source and target prime widths. */
+struct NewLimbShape
+{
+    std::vector<unsigned> from_bits;
+    unsigned to_bits;
+};
+
+std::vector<NewLimbShape>
+newLimbShapes()
+{
+    std::vector<NewLimbShape> out;
+    // Uniform widths: inside the IFMA52 domain (30-49 bits and 2^50 - d,
+    // the largest NTT primes below 2^50), just past it (53), and up to
+    // the 2^62 cap, with k on both sides of the 16-product fold window.
+    for (unsigned bits : {30u, 45u, 49u, 50u, 53u, 61u, 62u})
+        for (size_t k : {size_t{1}, size_t{16}, size_t{17}})
+            out.push_back({std::vector<unsigned>(k, bits), bits});
+    // Mixed source widths, all narrow: the IFMA52 body runs.
+    std::vector<unsigned> mixed;
+    for (size_t i = 0; i < 17; ++i)
+        mixed.push_back(std::vector<unsigned>{30, 45, 49, 50}[i % 4]);
+    out.push_back({mixed, 50});
+    // One wide source, or a wide target: the 64-bit body must run.
+    out.push_back({{45, 53, 30}, 45});
+    out.push_back({{45, 49, 30}, 53});
+    return out;
+}
+
+std::string
+widths(const std::vector<unsigned>& bits)
+{
+    std::string out;
+    for (unsigned b : bits)
+        out += std::to_string(b) + " ";
+    return out;
+}
+
 /**
  * The whole-limb NewLimb kernel through every entry point (convert,
  * convertLimb, scaleSourceRaw + overshootRaw + accumulateScaledRaw), in
- * both modes, at prime widths up to the 2^62 cap where the 16-term fold
- * window matters (17 products of 62-bit residues can pass 2^128), with
- * k on both sides of that window and n off the lane grid. The scalar
- * table must match a plain-u128 evaluation of Equation (1); every
- * vector table must match the scalar one.
+ * both modes, over the shapes above, n off the lane grid, and leading
+ * coefficients whose scaled residues are all q_i - 1 (the largest
+ * products, which overflow a 128-bit sum that skipped a fold at 62
+ * bits). The scalar table must match a plain-u128 evaluation of
+ * Equation (1); every vector table must match the scalar one.
  */
 TEST(SimdBasis, NewLimbBitExactAcrossEntryPointsModesAndShapes)
 {
     const size_t n = 203; // 203 % 8 == 3: vector tails run
-    for (unsigned bits : {30u, 50u, 61u, 62u}) {
-        for (size_t k : {size_t{1}, size_t{16}, size_t{17}}) {
-            const auto from_p = kernelPrimes(bits, k);
-            const auto to_p = kernelPrimes(bits, 3, from_p);
-            const RnsBasis from = basisOf(from_p), to = basisOf(to_p);
-            const BasisConverter conv(from, to);
-            std::vector<std::vector<u64>> in(k);
-            std::vector<const u64*> in_ptrs;
-            for (size_t i = 0; i < k; ++i) {
-                in[i] = randomResidues(n, from[i], 1000 * bits + i);
-                in_ptrs.push_back(in[i].data());
-            }
+    const size_t worst = 9;
+    for (const NewLimbShape& shape : newLimbShapes()) {
+        const size_t k = shape.from_bits.size();
+        std::vector<u64> from_p;
+        for (unsigned b : shape.from_bits)
+            from_p.push_back(kernelPrimes(b, 1, from_p)[0]);
+        const auto to_p = kernelPrimes(shape.to_bits, 3, from_p);
+        const RnsBasis from = basisOf(from_p), to = basisOf(to_p);
+        const BasisConverter conv(from, to);
+        std::vector<std::vector<u64>> in(k);
+        std::vector<const u64*> in_ptrs;
+        for (size_t i = 0; i < k; ++i) {
+            in[i] = randomResidues(n, from[i], 1000 * shape.to_bits + i);
+            // x = (q_i - 1) * invPunctured^-1 scales to q_i - 1.
+            const u64 x = from[i].mul(from_p[i] - 1,
+                                      from[i].inverse(from.invPunctured(i)));
+            std::fill(in[i].begin(), in[i].begin() + worst, x);
+            in_ptrs.push_back(in[i].data());
+        }
+        const std::string where = "sources " + widths(shape.from_bits) +
+                                  "target " + std::to_string(shape.to_bits);
 
-            for (ConvMode mode : {ConvMode::SignedExact, ConvMode::Approx}) {
-                const bool exact = mode == ConvMode::SignedExact;
-                auto run = [&](simd::Backend b) {
-                    ScopedBackend sb(b);
-                    NewLimbOutputs o;
-                    o.convert.assign(to.size(), std::vector<u64>(n));
-                    o.limb = o.scaled = o.convert;
-                    std::vector<u64*> out_ptrs;
-                    for (auto& limb : o.convert)
-                        out_ptrs.push_back(limb.data());
-                    conv.convert(in_ptrs, n, out_ptrs, mode);
-                    std::vector<std::vector<u64>> sc(k, std::vector<u64>(n));
-                    std::vector<const u64*> sc_ptrs;
-                    for (size_t i = 0; i < k; ++i) {
-                        conv.scaleSourceRaw(in[i].data(), n, i, sc[i].data());
-                        sc_ptrs.push_back(sc[i].data());
-                    }
-                    std::vector<u64> us(n);
-                    conv.overshootRaw(sc_ptrs, n, us.data());
-                    for (size_t j = 0; j < to.size(); ++j) {
-                        conv.convertLimb(in_ptrs, n, j, o.limb[j].data(),
-                                         mode);
-                        conv.accumulateScaledRaw(sc_ptrs,
-                                                 exact ? us.data() : nullptr,
-                                                 n, j, o.scaled[j].data());
-                    }
-                    return o;
-                };
-                const NewLimbOutputs ref = run(simd::Backend::Scalar);
-                EXPECT_EQ(ref.limb, ref.convert);
-                EXPECT_EQ(ref.scaled, ref.convert);
-
-                // Plain-u128 Equation (1): scaled_i = x_i * (Q/q_i)^-1,
-                // out = sum_i scaled_i * (Q/q_i) - us * Q, all mod p.
-                std::vector<const u64*> sc_ptrs;
+        for (ConvMode mode : {ConvMode::SignedExact, ConvMode::Approx}) {
+            const bool exact = mode == ConvMode::SignedExact;
+            auto run = [&](const simd::Kernels* K) {
+                ScopedKernels sk(K);
+                NewLimbOutputs o;
+                o.convert.assign(to.size(), std::vector<u64>(n));
+                o.limb = o.scaled = o.convert;
+                std::vector<u64*> out_ptrs;
+                for (auto& limb : o.convert)
+                    out_ptrs.push_back(limb.data());
+                conv.convert(in_ptrs, n, out_ptrs, mode);
                 std::vector<std::vector<u64>> sc(k, std::vector<u64>(n));
+                std::vector<const u64*> sc_ptrs;
                 for (size_t i = 0; i < k; ++i) {
-                    for (size_t c = 0; c < n; ++c)
-                        sc[i][c] = mulMod(in[i][c], from.invPunctured(i),
-                                          from_p[i]);
+                    conv.scaleSourceRaw(in[i].data(), n, i, sc[i].data());
                     sc_ptrs.push_back(sc[i].data());
                 }
                 std::vector<u64> us(n);
                 conv.overshootRaw(sc_ptrs, n, us.data());
                 for (size_t j = 0; j < to.size(); ++j) {
-                    const u64 p = to_p[j];
-                    for (size_t c = 0; c < n; ++c) {
-                        u64 acc = 0;
-                        for (size_t i = 0; i < k; ++i) {
-                            u64 punct = 1;
-                            for (size_t t = 0; t < k; ++t)
-                                if (t != i)
-                                    punct = mulMod(punct, from_p[t] % p, p);
-                            acc = (acc + mulMod(sc[i][c], punct, p)) % p;
-                        }
-                        if (exact) {
-                            const u64 corr = mulMod(us[c], from.productMod(
-                                                               to[j]), p);
-                            acc = (acc + p - corr) % p;
-                        }
-                        ASSERT_EQ(ref.convert[j][c], acc)
-                            << "bits=" << bits << " k=" << k << " j=" << j
-                            << " c=" << c << " exact=" << exact;
-                    }
+                    conv.convertLimb(in_ptrs, n, j, o.limb[j].data(), mode);
+                    conv.accumulateScaledRaw(sc_ptrs,
+                                             exact ? us.data() : nullptr, n,
+                                             j, o.scaled[j].data());
                 }
+                return o;
+            };
+            const NewLimbOutputs ref = run(simd::scalarKernels());
+            EXPECT_EQ(ref.limb, ref.convert);
+            EXPECT_EQ(ref.scaled, ref.convert);
 
-                for (simd::Backend b : vectorBackends())
-                    EXPECT_TRUE(run(b) == ref)
-                        << simd::backendName(b) << " bits=" << bits
-                        << " k=" << k << " exact=" << exact;
+            // Plain-u128 Equation (1): scaled_i = x_i * (Q/q_i)^-1,
+            // out = sum_i scaled_i * (Q/q_i) - us * Q, all mod p.
+            std::vector<const u64*> sc_ptrs;
+            std::vector<std::vector<u64>> sc(k, std::vector<u64>(n));
+            for (size_t i = 0; i < k; ++i) {
+                for (size_t c = 0; c < n; ++c)
+                    sc[i][c] =
+                        mulMod(in[i][c], from.invPunctured(i), from_p[i]);
+                ASSERT_EQ(sc[i][0], from_p[i] - 1);
+                sc_ptrs.push_back(sc[i].data());
+            }
+            std::vector<u64> us(n);
+            {
+                ScopedKernels sk(simd::scalarKernels());
+                conv.overshootRaw(sc_ptrs, n, us.data());
+            }
+            for (size_t j = 0; j < to.size(); ++j) {
+                const u64 p = to_p[j];
+                for (size_t c = 0; c < n; ++c) {
+                    u64 acc = 0;
+                    for (size_t i = 0; i < k; ++i) {
+                        u64 punct = 1;
+                        for (size_t t = 0; t < k; ++t)
+                            if (t != i)
+                                punct = mulMod(punct, from_p[t] % p, p);
+                        acc = (acc + mulMod(sc[i][c], punct, p)) % p;
+                    }
+                    if (exact) {
+                        const u64 corr =
+                            mulMod(us[c], from.productMod(to[j]), p);
+                        acc = (acc + p - corr) % p;
+                    }
+                    ASSERT_EQ(ref.convert[j][c], acc)
+                        << where << " j=" << j << " c=" << c
+                        << " exact=" << exact;
+                }
+            }
+
+            for (const Table& t : vectorTables())
+                EXPECT_TRUE(run(t.k) == ref)
+                    << t.label << " " << where << " exact=" << exact;
+        }
+    }
+}
+
+/**
+ * The overshoot kernel against the long-double reference: random
+ * scaled residues over widths and k, plus lanes built to sit within
+ * the vector body's error margin of an integer. At k = 1 and a 61-bit
+ * q, x = (q - 1) / 2 puts the exact sum 0.5 + x / q at 1 - 1/(2q): the
+ * long double keeps it below 1 (us = 0) while the double estimate
+ * rounds to 1, so only the long-double fallback gets these lanes
+ * right; x = (q + 1) / 2 is the mirror case just above 1.
+ */
+TEST(SimdBasis, OvershootMatchesLongDoubleReference)
+{
+    const size_t n = 203;
+    for (unsigned bits : {30u, 45u, 61u, 62u}) {
+        for (size_t k : {size_t{1}, size_t{3}, size_t{16}, size_t{17}}) {
+            const auto primes = kernelPrimes(bits, k);
+            std::vector<std::vector<u64>> x(k);
+            std::vector<const u64*> xp;
+            std::vector<double> inv(k);
+            std::vector<long double> inv_ld(k);
+            for (size_t i = 0; i < k; ++i) {
+                x[i] = randomResidues(n, Modulus(primes[i]), 77 * bits + i);
+                xp.push_back(x[i].data());
+                inv[i] = 1.0 / static_cast<double>(primes[i]);
+                inv_ld[i] = 1.0L / static_cast<long double>(primes[i]);
+            }
+            if (k == 1) {
+                for (size_t c = 0; c < 24; c += 2) {
+                    x[0][c] = (primes[0] - 1) / 2;
+                    x[0][c + 1] = (primes[0] + 1) / 2;
+                }
+            }
+            std::vector<u64> ref(n);
+            simd::scalarKernels()->overshoot(xp.data(), k, inv.data(),
+                                             inv_ld.data(), n, ref.data());
+            if (k == 1 && bits >= 61) {
+                ASSERT_EQ(ref[0], 0u);
+                ASSERT_EQ(ref[1], 1u);
+                EXPECT_EQ(std::floor(std::fma(static_cast<double>(x[0][0]),
+                                              inv[0], 0.5)),
+                          1.0)
+                    << "the double estimate alone would get lane 0 right";
+            }
+            for (const Table& t : vectorTables()) {
+                std::vector<u64> got(n);
+                t.k->overshoot(xp.data(), k, inv.data(), inv_ld.data(), n,
+                               got.data());
+                EXPECT_EQ(got, ref)
+                    << t.label << " bits=" << bits << " k=" << k;
             }
         }
     }
@@ -384,7 +580,7 @@ TEST(SimdMac, BitExactIncludingTails)
 {
     const size_t n = 1003;
     const size_t worst = 12; // leading all-(q - 1) coefficients
-    for (unsigned bits : {30u, 50u, 61u, 62u}) {
+    for (unsigned bits : {30u, 45u, 49u, 50u, 53u, 61u, 62u}) {
         const Modulus q(kernelPrimes(bits, 1)[0]);
         const simd::Fold128 fold = simd::foldFor(q);
         for (size_t terms : {size_t{1}, size_t{3}, size_t{16}, size_t{17}}) {
@@ -429,11 +625,11 @@ TEST(SimdMac, BitExactIncludingTails)
                                                  << " terms=" << terms;
                 }
                 // u and v may overwrite digit limbs they read.
-                for (const simd::Kernels* K :
-                     {simd::scalarKernels(), simd::avx2Kernels(),
-                      simd::avx512Kernels()}) {
-                    if (!K)
-                        continue;
+                std::vector<Table> tables = {{simd::scalarKernels(), "scalar"}};
+                for (const Table& t : vectorTables())
+                    tables.push_back(t);
+                for (const Table& t : tables) {
+                    const simd::Kernels* K = t.k;
                     auto d0 = d[0];
                     auto dl = d[terms - 1];
                     std::vector<const u64*> dq = dp;
@@ -448,25 +644,22 @@ TEST(SimdMac, BitExactIncludingTails)
                            out_u, out_v);
                     EXPECT_TRUE(std::equal(out_u, out_u + n,
                                            ref.first.begin()))
-                        << K->name << " aliased u, terms=" << terms;
+                        << t.label << " aliased u, terms=" << terms;
                     EXPECT_TRUE(std::equal(out_v, out_v + n,
                                            ref.second.begin()))
-                        << K->name << " aliased v, terms=" << terms;
+                        << t.label << " aliased v, terms=" << terms;
                 }
-                for (const simd::Kernels* V :
-                     {simd::avx2Kernels(), simd::avx512Kernels()}) {
-                    if (!V)
-                        continue;
-                    const auto got = run(V);
+                for (const Table& t : vectorTables()) {
+                    const auto got = run(t.k);
                     EXPECT_EQ(std::memcmp(got.first.data(), ref.first.data(),
                                           n * sizeof(u64)),
                               0)
-                        << V->name << " bits=" << bits << " terms=" << terms
+                        << t.label << " bits=" << bits << " terms=" << terms
                         << " lift=" << lift;
                     EXPECT_EQ(std::memcmp(got.second.data(),
                                           ref.second.data(), n * sizeof(u64)),
                               0)
-                        << V->name << " bits=" << bits << " terms=" << terms
+                        << t.label << " bits=" << bits << " terms=" << terms
                         << " lift=" << lift;
                 }
             }
@@ -481,11 +674,9 @@ TEST(SimdMac, BitExactIncludingTails)
  */
 TEST(SimdFp, TransformRejectsOutOfDomainInputs)
 {
-    for (const simd::Kernels* V :
-         {simd::avx2Kernels(), simd::avx512Kernels()}) {
-        if (!V)
-            continue;
-        ASSERT_NE(V->fp_transform, nullptr) << V->name;
+    for (const Table& t : vectorTables()) {
+        const simd::Kernels* V = t.k;
+        ASSERT_NE(V->fp_transform, nullptr) << t.label;
         u64 buf[16] = {0};
         // 54-bit modulus: the 2^53 error-free multiply budget is gone.
         EXPECT_FALSE(V->fp_transform(buf, 16, nullptr, nullptr, nullptr,

@@ -361,6 +361,38 @@ TEST_F(VirtualTest, TableTwoOpsComputeOnSlots)
     }
 }
 
+/**
+ * An aligning add stands in for the Evaluator's mulScalarRescale on the
+ * larger-scale operand, so it must charge that operation's noise: the
+ * same budget as an explicit mulScalarRescale (relabelled to the other
+ * scale, as Evaluator::align does), a drop of the other operand and a
+ * plain add.
+ */
+TEST_F(VirtualTest, AligningAddChargesTheNoiseOfAnExplicitScalarRescale)
+{
+    auto level = [&](const Ciphertext& ct) {
+        return vbackend::unpackVirtual(*h->ctx, ct).level;
+    };
+    const Ciphertext a = venc(randomReals(h->ctx->slots(), 11));
+    const Ciphertext big = vb->dropToLevel(a, 3);
+    const Ciphertext small = vb->rescale(vb->dropToLevel(a, 4));
+    ASSERT_EQ(level(small), 3u);
+    ASSERT_GT(big.scale, small.scale);
+
+    const Ciphertext aligned = vb->addAligned(big, small);
+
+    Ciphertext scaled = vb->mulScalarRescale(big, small.scale / big.scale);
+    scaled.scale = small.scale;
+    const Ciphertext explicit_sum =
+        vb->add(scaled, vb->dropToLevel(small, level(scaled)));
+
+    EXPECT_EQ(level(aligned), 2u);
+    EXPECT_EQ(level(explicit_sum), 2u);
+    ASSERT_TRUE(vb->noiseBudgetBits(aligned).has_value());
+    EXPECT_EQ(*vb->noiseBudgetBits(aligned),
+              *vb->noiseBudgetBits(explicit_sum));
+}
+
 // --- noise cross-validation (virtual estimate vs real measurement) --------
 
 TEST_F(VirtualTest, VirtualNoiseBracketsRealMeasuredNoise)
