@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "memtrace/trace.h"
+#include "rns/simd/simd.h"
 #include "support/faultinject.h"
 #include "support/parallel.h"
 #include "telemetry/telemetry.h"
@@ -77,14 +78,18 @@ Bootstrapper::modRaise(const Ciphertext& ct) const
         RnsPoly coeff = p;
         coeff.setRep(Rep::Coeff);
         RnsPoly out(ctx->ring(), full_basis, Rep::Coeff);
-        const u64* src = coeff.limb(0);
+        // Center limb 0 of the private copy in place; every raised limb
+        // lifts the same signed values with the from_signed kernel.
+        u64* low = coeff.limb(0);
+        i64* src = reinterpret_cast<i64*>(low);
         MAD_TRACE_READ(src, n * sizeof(u64));
+        for (size_t c = 0; c < n; ++c)
+            src[c] = q0.toSigned(low[c]);
         parallelFor(out.numLimbs(), [&](size_t i) {
             const Modulus& qi = ctx->ring()->modulus(i);
             u64* dst = out.limb(i);
             MAD_TRACE_WRITE(dst, n * sizeof(u64));
-            for (size_t c = 0; c < n; ++c)
-                dst[c] = qi.fromSigned(q0.toSigned(src[c]));
+            simd::kernels().from_signed(dst, src, n, qi.value());
         });
         out.toEval();
         for (size_t i = 0; i < out.numLimbs(); ++i)

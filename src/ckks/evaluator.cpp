@@ -207,6 +207,11 @@ rescalePoly(const RnsPoly& x, const CkksContext& ctx)
     MAD_TRACE_READ(x.limb(level - 1), n * sizeof(u64));
     MAD_TRACE_WRITE(top.data(), n * sizeof(u64));
     ctx.ring()->ntt(level - 1).inverse(top.data());
+    // Center the dropped limb once; every kept limb lifts the same
+    // signed values with the from_signed kernel.
+    i64* top_signed = reinterpret_cast<i64*>(top.data());
+    for (size_t c = 0; c < n; ++c)
+        top_signed[c] = q_top.toSigned(top[c]);
 
     RnsPoly out(x.context(), ctx.ring()->qIndices(level - 1), Rep::Eval);
     // One correction slice per kept limb so the limbs are independent
@@ -218,8 +223,7 @@ rescalePoly(const RnsPoly& x, const CkksContext& ctx)
         u64* ci = corr.data() + i * n;
         MAD_TRACE_READ(top.data(), n * sizeof(u64));
         MAD_TRACE_WRITE(ci, n * sizeof(u64));
-        for (size_t c = 0; c < n; ++c)
-            ci[c] = qi.fromSigned(q_top.toSigned(top[c]));
+        simd::kernels().from_signed(ci, top_signed, n, qi.value());
         ctx.ring()->ntt(i).forward(ci);
         const u64 inv = ctx.rescaleInv(level, i);
         const u64 inv_shoup = qi.shoupPrecompute(inv);

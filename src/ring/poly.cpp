@@ -278,8 +278,7 @@ RnsPoly::setFromSigned(const std::vector<i64>& values)
         const Modulus& q = modulus(i);
         u64* a = limb(i);
         MAD_TRACE_WRITE(a, limbBytes(*this));
-        for (size_t c = 0; c < n; ++c)
-            a[c] = q.fromSigned(values[c]);
+        simd::kernels().from_signed(a, values.data(), n, q.value());
     });
 }
 

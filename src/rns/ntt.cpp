@@ -106,20 +106,19 @@ NttTables::NttTables(size_t n_, const Modulus& q_) : n(n_), q(q_)
             bitrev_swaps.emplace_back(static_cast<u32>(i), r);
     }
 
-    // FP images for the fused SIMD transform; u64 values below 2^50 are
+    // FP tables for the fused SIMD transform; u64 values below 2^50 are
     // exactly representable as doubles, wider moduli stay on the integer
-    // path and never read these.
+    // path and never read these. The exponent (2k+1) * n/(2m) is below
+    // n because 2k+1 < 2m.
     if (q.value() < simd::kNarrowModulusBound) {
-        psi_rev_fp.resize(n);
-        omega_fp.resize(n);
+        psi_tw_fp.resize(n);
         iomega_fp.resize(n);
         ipsi_ninv_fp.resize(n);
+        for (size_t m = 1; m < n; m <<= 1)
+            for (size_t k = 0; k < m; ++k)
+                psi_tw_fp[m + k] =
+                    static_cast<double>(psi_pow[(2 * k + 1) * (n / (2 * m))]);
         for (size_t i = 0; i < n; ++i) {
-            u32 r = 0;
-            for (unsigned b = 0; b < logn; ++b)
-                r |= ((i >> b) & 1) << (logn - 1 - b);
-            psi_rev_fp[i] = static_cast<double>(psi_pow[r]);
-            omega_fp[i] = static_cast<double>(omega_tw[i]);
             iomega_fp[i] = static_cast<double>(iomega_tw[i]);
             ipsi_ninv_fp[i] = static_cast<double>(ipsi_ninv[i]);
         }
@@ -200,18 +199,17 @@ void
 NttTables::forwardBatchRaw(u64* const* a, size_t count) const
 {
     const auto& K = simd::kernels();
-    // Vector backends fuse twist, bit-reversal and stages into one FP
-    // kernel when the modulus fits its domain (it declines otherwise and
-    // we run the unfused path below). Outputs are bit-identical either
-    // way.
-    if (K.fp_transform && !psi_rev_fp.empty() && count > 0 &&
-        K.fp_transform(a[0], n, psi_rev_fp.data(), omega_fp.data(),
-                       nullptr, q.value())) {
+    // Vector backends fuse bit-reversal, stages and (through the
+    // negacyclic twiddles) the twist into one FP kernel when the modulus
+    // fits its domain (it declines otherwise and we run the unfused path
+    // below). Outputs are bit-identical either way.
+    if (K.fp_transform && !psi_tw_fp.empty() && count > 0 &&
+        K.fp_transform(a[0], n, psi_tw_fp.data(), nullptr, q.value())) {
         // The kernel's domain depends only on (q, n), so the verdict is
         // uniform across the batch.
         for (size_t b = 1; b < count; ++b)
-            MAD_CHECK(K.fp_transform(a[b], n, psi_rev_fp.data(),
-                                     omega_fp.data(), nullptr, q.value()),
+            MAD_CHECK(K.fp_transform(a[b], n, psi_tw_fp.data(), nullptr,
+                                     q.value()),
                       "fp transform verdict changed within a batch");
         return;
     }
@@ -251,11 +249,11 @@ NttTables::inverseBatchRaw(u64* const* a, size_t count) const
     const auto& K = simd::kernels();
     // Fused FP path: bit-reversal, stages, and the untwist-and-scale
     // multiply in one kernel (see forwardBatch).
-    if (K.fp_transform && !psi_rev_fp.empty() && count > 0 &&
-        K.fp_transform(a[0], n, nullptr, iomega_fp.data(),
-                       ipsi_ninv_fp.data(), q.value())) {
+    if (K.fp_transform && !psi_tw_fp.empty() && count > 0 &&
+        K.fp_transform(a[0], n, iomega_fp.data(), ipsi_ninv_fp.data(),
+                       q.value())) {
         for (size_t b = 1; b < count; ++b)
-            MAD_CHECK(K.fp_transform(a[b], n, nullptr, iomega_fp.data(),
+            MAD_CHECK(K.fp_transform(a[b], n, iomega_fp.data(),
                                      ipsi_ninv_fp.data(), q.value()),
                       "fp transform verdict changed within a batch");
         return;

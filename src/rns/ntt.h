@@ -8,7 +8,9 @@
  * representation slot k holds a(psi^(2k+1)). Natural ordering makes Galois
  * automorphisms (Rotate/Conjugate) pure index permutations in evaluation
  * representation — the property the MAD caching analysis relies on
- * (Automorph costs zero compute, Table 4).
+ * (Automorph costs zero compute, Table 4). The fused SIMD FP path
+ * computes the same forward transform with the twist folded into
+ * negacyclic stage twiddles (psi_tw_fp below).
  *
  * Construction cost is paid once per (N, q) pair process-wide: get()
  * memoizes tables, the cyclic stage twiddles are sliced out of the psi
@@ -142,14 +144,17 @@ class NttTables
     std::vector<std::pair<u32, u32>> bitrev_swaps;
 
     /**
-     * Double-precision images of the tables for the fused SIMD FP
-     * transform (rns/simd), built only when q < 2^50 (all values below
-     * 2^50 convert exactly). psi_rev_fp holds the forward twist in
-     * bit-reversed order — psi^bitrev(i) at index i — because the FP
-     * kernel applies it during its bit-reversed entry gather; the other
-     * three are element-wise copies of the u64 tables.
+     * Double-precision tables for the fused SIMD FP transform
+     * (rns/simd), built only when q < 2^50 (all values below 2^50
+     * convert exactly). psi_tw_fp holds the forward transform's
+     * negacyclic stage twiddles, psi_tw_fp[m + k] = psi^((2k+1) * n/(2m))
+     * for stage half-size m and k in [0, m): a decimation-in-time
+     * transform over them computes the same a(psi^(2j+1)) as the twist
+     * by psi^i followed by the cyclic transform, so the twist needs no
+     * pass of its own. iomega_fp and ipsi_ninv_fp are element-wise
+     * copies of the inverse u64 tables.
      */
-    std::vector<double> psi_rev_fp, omega_fp, iomega_fp, ipsi_ninv_fp;
+    std::vector<double> psi_tw_fp, iomega_fp, ipsi_ninv_fp;
 };
 
 /** Find a primitive 2n-th root of unity modulo q (q = 1 mod 2n). */

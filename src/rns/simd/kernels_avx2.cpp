@@ -32,17 +32,18 @@ struct Avx2Ops
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
     }
     static V set1(u64 x) { return _mm256_set1_epi64x(static_cast<long long>(x)); }
-    /** Gather base[idx[l]] per lane (element indices in a V). */
-    static V loadIdx(const u64* base, V vidx)
-    {
-        return _mm256_i64gather_epi64(
-            reinterpret_cast<const long long*>(base), vidx, 8);
-    }
     static V add(V a, V b) { return _mm256_add_epi64(a, b); }
     static V sub(V a, V b) { return _mm256_sub_epi64(a, b); }
     static V srl(V a, unsigned s) { return _mm256_srli_epi64(a, static_cast<int>(s)); }
     static V sll(V a, unsigned s) { return _mm256_slli_epi64(a, static_cast<int>(s)); }
     static V or_(V a, V b) { return _mm256_or_si256(a, b); }
+    static V and_(V a, V b) { return _mm256_and_si256(a, b); }
+    static V xor_(V a, V b) { return _mm256_xor_si256(a, b); }
+    /** All-ones lanes where x < 0 as a signed value. */
+    static V signMask(V x)
+    {
+        return _mm256_cmpgt_epi64(_mm256_setzero_si256(), x);
+    }
 
     /** All-ones lanes where a < b (unsigned). */
     static V ltMask(V a, V b)
@@ -100,6 +101,7 @@ struct Avx2Ops
     static D addd(D a, D b) { return _mm256_add_pd(a, b); }
     static D subd(D a, D b) { return _mm256_sub_pd(a, b); }
     static D muld(D a, D b) { return _mm256_mul_pd(a, b); }
+    static D fmaddd(D a, D b, D c) { return _mm256_fmadd_pd(a, b, c); }
     static D fmsubd(D a, D b, D c) { return _mm256_fmsub_pd(a, b, c); }
     static D fnmaddd(D a, D b, D c) { return _mm256_fnmadd_pd(a, b, c); }
     static D roundd(D x)
@@ -136,6 +138,18 @@ struct Avx2Ops
         V bits = _mm256_castpd_si256(
             _mm256_add_pd(d, _mm256_castsi256_pd(magic)));
         return _mm256_and_si256(bits, set1(0xFFFFFFFFFFFFFULL));
+    }
+    /** In-place 4 x 4 transpose: lane c of r[k] becomes lane k of r[c]. */
+    static void transpose(D* r)
+    {
+        const D t0 = _mm256_unpacklo_pd(r[0], r[1]);
+        const D t1 = _mm256_unpackhi_pd(r[0], r[1]);
+        const D t2 = _mm256_unpacklo_pd(r[2], r[3]);
+        const D t3 = _mm256_unpackhi_pd(r[2], r[3]);
+        r[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+        r[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+        r[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+        r[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
     }
     /**
      * Deinterleave two adjacent vectors (one 2m-sized NTT block group)
@@ -191,6 +205,7 @@ const Kernels kAvx2 = {
     vecimpl::subMulShoup<Avx2Ops>,
     vecimpl::addModVec<Avx2Ops>,
     vecimpl::subModVec<Avx2Ops>,
+    vecimpl::fromSigned<Avx2Ops>,
 };
 
 } // namespace

@@ -27,16 +27,15 @@ struct Avx512Ops
     static V load(const u64* p) { return _mm512_loadu_si512(p); }
     static void store(u64* p, V v) { _mm512_storeu_si512(p, v); }
     static V set1(u64 x) { return _mm512_set1_epi64(static_cast<long long>(x)); }
-    /** Gather base[idx[l]] per lane (element indices in a V). */
-    static V loadIdx(const u64* base, V vidx)
-    {
-        return _mm512_i64gather_epi64(vidx, base, 8);
-    }
     static V add(V a, V b) { return _mm512_add_epi64(a, b); }
     static V sub(V a, V b) { return _mm512_sub_epi64(a, b); }
     static V srl(V a, unsigned s) { return _mm512_srli_epi64(a, s); }
     static V sll(V a, unsigned s) { return _mm512_slli_epi64(a, s); }
     static V or_(V a, V b) { return _mm512_or_si512(a, b); }
+    static V and_(V a, V b) { return _mm512_and_si512(a, b); }
+    static V xor_(V a, V b) { return _mm512_xor_si512(a, b); }
+    /** All-ones lanes where x < 0 as a signed value. */
+    static V signMask(V x) { return _mm512_srai_epi64(x, 63); }
 
     /** x >= b ? x - b : x (unsigned). */
     static V csub(V x, V b)
@@ -81,6 +80,7 @@ struct Avx512Ops
     static D addd(D a, D b) { return _mm512_add_pd(a, b); }
     static D subd(D a, D b) { return _mm512_sub_pd(a, b); }
     static D muld(D a, D b) { return _mm512_mul_pd(a, b); }
+    static D fmaddd(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
     static D fmsubd(D a, D b, D c) { return _mm512_fmsub_pd(a, b, c); }
     static D fnmaddd(D a, D b, D c) { return _mm512_fnmadd_pd(a, b, c); }
     static D roundd(D x)
@@ -104,6 +104,29 @@ struct Avx512Ops
     /** Exact conversions (AVX-512DQ has native u64 <-> f64). */
     static D u64ToFp(V x) { return _mm512_cvtepu64_pd(x); }
     static V fpToU64(D d) { return _mm512_cvtpd_epu64(d); }
+    /**
+     * In-place 8 x 8 transpose: lane c of r[k] becomes lane k of r[c].
+     * unpacklo/hi pair rows into 128-bit column pairs, and two rounds of
+     * 128-bit lane shuffles gather each column's four pairs.
+     */
+    static void transpose(D* r)
+    {
+        D t[8];
+        for (int i = 0; i < 8; i += 2) {
+            t[i] = _mm512_unpacklo_pd(r[i], r[i + 1]);
+            t[i + 1] = _mm512_unpackhi_pd(r[i], r[i + 1]);
+        }
+        for (int h = 0; h < 2; ++h) {
+            const D a = _mm512_shuffle_f64x2(t[h], t[2 + h], 0x88);
+            const D b = _mm512_shuffle_f64x2(t[h], t[2 + h], 0xDD);
+            const D c = _mm512_shuffle_f64x2(t[4 + h], t[6 + h], 0x88);
+            const D d = _mm512_shuffle_f64x2(t[4 + h], t[6 + h], 0xDD);
+            r[h] = _mm512_shuffle_f64x2(a, c, 0x88);
+            r[4 + h] = _mm512_shuffle_f64x2(a, c, 0xDD);
+            r[2 + h] = _mm512_shuffle_f64x2(b, d, 0x88);
+            r[6 + h] = _mm512_shuffle_f64x2(b, d, 0xDD);
+        }
+    }
     /**
      * Deinterleave two adjacent vectors (one 2m-sized NTT block group)
      * into x/y butterfly operands for sub-vector stages m in {1, 2, 4}.
@@ -204,6 +227,7 @@ const Kernels kAvx512 = {
     vecimpl::subMulShoup<Avx512Ops>,
     vecimpl::addModVec<Avx512Ops>,
     vecimpl::subModVec<Avx512Ops>,
+    vecimpl::fromSigned<Avx512Ops>,
 };
 
 } // namespace

@@ -216,12 +216,25 @@ subModVec(u64* a, const u64* b, size_t n, u64 q)
         a[i] = subMod(a[i], b[i], q);
 }
 
+void
+fromSigned(u64* dst, const i64* src, size_t n, u64 q)
+{
+    const i64 qs = static_cast<i64>(q);
+    for (size_t i = 0; i < n; ++i) {
+        i64 r = src[i] % qs;
+        if (r < 0)
+            r += qs;
+        dst[i] = static_cast<u64>(r);
+    }
+}
+
 const Kernels kScalar = {
     "scalar",    "simd.scalar",  1,         nttStage,     reduce4q,
     mulShoupVec, mulShoupScalar, mulModVec, addMulModVec, newlimb,
     mac,
     nullptr, // fp_transform: the unfused scalar path IS the reference
     overshoot,   subMulShoup,    addModVec, subModVec,
+    fromSigned,
 };
 
 } // namespace

@@ -17,6 +17,8 @@
 #ifndef MADFHE_RNS_SIMD_KERNELS_VEC_INL_H
 #define MADFHE_RNS_SIMD_KERNELS_VEC_INL_H
 
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "rns/simd/simd.h"
@@ -67,8 +69,8 @@ nttStage(u64* p, size_t n, size_t m, const u64* tw, const u64* tw_shoup,
     const auto v2q = Ops::set1(two_q);
     if (m < W) {
         // First log2(W) stages: each 2W-coefficient pair of vectors
-        // holds whole butterfly blocks, which split()/join() (the FP
-        // transform's lane shuffles, bit-cast) separate into x/y lanes.
+        // holds whole butterfly blocks, which split()/join() (lane
+        // shuffles on the bit-cast double view) separate into x/y lanes.
         // Lane l uses twiddle l & (m - 1).
         if (n < 2 * W) {
             scalarKernels()->ntt_stage(p, n, m, tw, tw_shoup, q, two_q);
@@ -297,174 +299,346 @@ addMulModVec(u64* dst, const u64* a, const u64* b, size_t n,
 }
 
 /**
- * Fused whole-NTT kernel in double precision for q < 2^50 — the
- * error-free FMA modular multiply, with balanced (signed) residues that
- * free-run across stages. For |w| < q and |y| < G*q:
+ * from_signed: dst[i] = src[i] mod q in [0, q), the scalar loop's
+ * truncated `%` plus +q on negatives. |v| taken as an unsigned 64-bit
+ * value (INT64_MIN gives 2^63) is reduced by Shoup's multiply with
+ * w = 1 and floor(2^64 / q), which lands in [0, 2q) for any 64-bit
+ * input; one conditional subtract makes it canonical, and a negative
+ * lane becomes (q - r) mod q.
+ */
+template <class Ops>
+void
+fromSigned(u64* dst, const i64* src, size_t n, u64 q)
+{
+    constexpr size_t W = Ops::W;
+    const auto vq = Ops::set1(q);
+    const auto vpre =
+        Ops::set1(static_cast<u64>((static_cast<u128>(1) << 64) / q));
+    size_t i = 0;
+    for (; i + W <= n; i += W) {
+        const auto v = Ops::load(reinterpret_cast<const u64*>(src + i));
+        const auto neg = Ops::signMask(v);
+        const auto mag = Ops::sub(Ops::xor_(v, neg), neg);
+        auto r = Ops::sub(mag, Ops::mullo64(Ops::mulhi64(mag, vpre), vq));
+        r = Ops::csub(r, vq);
+        r = Ops::add(Ops::sub(Ops::xor_(r, neg), neg), Ops::and_(neg, vq));
+        Ops::store(dst + i, Ops::csub(r, vq));
+    }
+    if (i < n)
+        scalarKernels()->from_signed(dst + i, src + i, n - i, q);
+}
+
+/**
+ * Error-free modular arithmetic in binary64 for q < 2^50 on balanced
+ * (signed) residues held as integer-valued doubles. For |w| < q and
+ * |y| < G*q:
  *
  *   h = fl(w*y), l = fma(w, y, -h)        // w*y == h + l exactly
- *   b = fl(h * fl(1/q)), c = round(b)     // |c - w*y/q| < 1 when
- *                                         //   3*2^-53 * G*q <= 0.49
+ *   c = fma(h, fl(1/q), M) - M            // M = 1.5 * 2^52
  *   d = fma(-c, q, h)                     // exact: |d| <= |t| + |l| < 2q
- *   t = d + l                             // exact: t == w*y - c*q,
- *                                         //   |t| < q
+ *   t = d + l                             // exact: t == w*y - c*q
  *
- * Every step is exact integer arithmetic in binary64, independent of
- * how round() breaks ties (any c within 1 of the true quotient keeps
- * all the bounds), which is what makes the final output bit-identical
- * to the scalar path: both produce the unique canonical representative
- * of the same residue. The key property: |t| < q no matter how big the
- * inputs are, so butterflies x' = x +- t need NO per-butterfly
- * reduction — values grow by at most q per stage and are pulled back to
- * [-q/2, q/2] by a canonicalization sweep only when the growth ledger
- * says a bound is at risk:
+ * While |h/q| < 2^51 (the bound on G below keeps it under 2^50.4) the
+ * sum h*fl(1/q) + M lies in [2^52, 2^53), where
+ * doubles are spaced exactly 1 apart, so the FMA rounds the exact
+ * product to the nearest integer and subtracting M is exact: c is
+ * within 0.5 + 2*G*q*2^-53 of the true quotient w*y/q (one error term
+ * from fl(1/q), one from dropping l). When G*q*2^-53 <= 0.49/3 that is
+ * below 1, so |t| < q and every step above is exact integer arithmetic,
+ * independent of how a tie rounds. (The rounding assumes the default
+ * round-to-nearest mode, which nothing in the library changes.)
+ */
+template <class Ops>
+struct FpModQ
+{
+    using D = typename Ops::D;
+    D qd, qinv, magic;
+
+    explicit FpModQ(u64 q)
+        : qd(Ops::set1d(static_cast<double>(q))),
+          qinv(Ops::set1d(1.0 / static_cast<double>(q))),
+          magic(Ops::set1d(0x1.8p52))
+    {
+    }
+
+    /** Nearest integer to x * fl(1/q); needs |x * fl(1/q)| < 2^51. */
+    D
+    quotient(D x) const
+    {
+        return Ops::subd(Ops::fmaddd(x, qinv, magic), magic);
+    }
+
+    /** x - c*q for c nearest x/q: |result| <= 0.6q for |x| < 2^53. */
+    D
+    reduce(D x) const
+    {
+        return Ops::fnmaddd(quotient(x), qd, x);
+    }
+
+    /** w * y mod q, balanced in (-q, q), exact (see above). */
+    D
+    mulmod(D w, D y) const
+    {
+        const D h = Ops::muld(w, y);
+        const D l = Ops::fmsubd(w, y, h);
+        return Ops::addd(Ops::fnmaddd(quotient(h), qd, h), l);
+    }
+
+    /** DIT butterfly: x' = x + w*y, y' = x - w*y. */
+    void
+    bfly(D& x, D& y, D w) const
+    {
+        const D t = mulmod(w, y);
+        y = Ops::subd(x, t);
+        x = Ops::addd(x, t);
+    }
+};
+
+/** x with its low `bits` bits reversed. */
+constexpr size_t
+revBits(size_t x, unsigned bits)
+{
+    size_t r = 0;
+    for (unsigned b = 0; b < bits; ++b)
+        r |= ((x >> b) & 1) << (bits - 1 - b);
+    return r;
+}
+
+/** Frees fpScratch's 64-byte-aligned buffers. */
+struct AlignedDelete
+{
+    void
+    operator()(double* p) const
+    {
+        ::operator delete[](p, std::align_val_t{64});
+    }
+};
+
+/** Per-thread 64-byte-aligned scratch of at least n doubles. */
+template <class Ops>
+double*
+fpScratch(size_t n)
+{
+    static thread_local std::unique_ptr<double[], AlignedDelete> buf;
+    static thread_local size_t cap = 0;
+    if (cap < n) {
+        buf.reset(static_cast<double*>(
+            ::operator new[](n * sizeof(double), std::align_val_t{64})));
+        cap = n;
+    }
+    return buf.get();
+}
+
+/** Stages a pass runs after the fused entry: (m, 2m) radix-4 or a lone
+ *  radix-2 stage m, each optionally reducing its inputs first. */
+struct FpPass
+{
+    size_t m;
+    bool radix4;
+    bool reduce_in;  ///< reduce every input before stage m
+    bool reduce_mid; ///< reduce every value between stages m and 2m
+};
+
+/** Doubles per L1-resident chunk: passes whose span fits run every
+ *  chunk-local stage on one chunk before moving to the next. */
+constexpr size_t kFpChunk = 2048;
+
+/**
+ * Fused whole-NTT kernel in double precision for q < 2^50 (FpModQ's
+ * error-free modular multiply): a decimation-in-time transform with
+ * bit-reversed input order and natural output order over the stage
+ * twiddles tw (stage m's slice starts at tw + m), then an optional
+ * pointwise multiply by `post`, leaving canonical residues in p.
  *
- *   products: G <= (0.49/3) * 2^53 / q   (quotient estimate within 1)
+ * Residues run balanced with no per-butterfly reduction: within the
+ * bounds below |t| < q, so values grow by at most q per stage. A growth
+ * ledger, computed once per call from q alone, marks the stages whose
+ * inputs must first be reduced to |x| <= 0.6q (a quotient tie may leave
+ * a residue just past q/2, so a reduction books 0.6, not 0.5) so that
+ * both bounds hold:
+ *
+ *   products: G <= (0.49/3) * 2^53 / q   (quotient within 1)
  *   adds:     G <= 2^53 / q - 1          (integer sums stay exact)
  *
- * For the 40-45-bit CKKS chain primes G allows far more than log2(n)
- * stages, so no mid-transform sweep ever runs; near the 2^50 gate the
- * sweeps approach one per stage and the kernel degenerates gracefully.
+ * For 45-bit primes no reduction ever runs; near 2^50 one runs every
+ * stage, in registers, on values the pass has loaded anyway.
  *
- * The whole pipeline is fused around the FP domain:
- *   entry — one pass gathers p in bit-reversed order (lane l of output
- *     block k reads p[revbits(k) + revbits(l)*n/W], the split-radix
- *     decomposition of the bit-reversal), converts to double into a
- *     per-thread scratch, and multiplies in pre_rev (the forward twist,
- *     already stored in bit-reversed order) when present;
- *   stages — butterflies over scratch; stages with m < W keep blocks
- *     inside a vector pair, split()/join() shuffle x/y apart and back;
- *   exit — post-multiply (fused inverse untwist) or a final sweep,
- *     conditional +q to canonical, convert back into p.
+ * The schedule makes few passes over the limb:
+ *   entry — element (block k, lane l) of the bit-reversed order is p[
+ *     rev(l) * n/W + rev(k)], so W contiguous vectors, one from each of
+ *     the W rows p + r*n/W at the same column, hold lane rev(r) of W
+ *     consecutive-in-rev blocks. Stages m = 1 .. W/2 pair lanes inside a
+ *     block, i.e. whole row vectors, so they run as vertical butterflies
+ *     with broadcast twiddles; one W x W transpose then turns the rows
+ *     into blocks, stored at rev(column + t). No gather, no shuffle per
+ *     stage. Requires n >= W*W (one column group).
+ *   passes — the remaining stages in radix-4 pairs (a radix-2 last when
+ *     their count is odd), chunked through kFpChunk doubles while the
+ *     pass span fits, then over the whole scratch.
+ *   exit — fused into the last pass: post multiply (the inverse
+ *     untwist-and-scale) or a final reduction, +q on negatives, convert
+ *     back into p.
  */
 template <class Ops>
 bool
-fpTransform(u64* p, size_t n, const double* pre_rev, const double* tw,
-            const double* post, u64 q)
+fpTransform(u64* p, size_t n, const double* tw, const double* post, u64 q)
 {
     using D = typename Ops::D;
     constexpr size_t W = Ops::W;
-    if (q >= kNarrowModulusBound || n < 2 * W)
+    constexpr unsigned kLogW = W == 8 ? 3 : 2;
+    static_assert(W == size_t{1} << kLogW, "lane count must be 4 or 8");
+    if (q >= kNarrowModulusBound || n < W * W)
         return false;
 
+    const FpModQ<Ops> f(q);
+    const unsigned logn = floorLog2(n);
+
+    // Growth ledger: reduce[s] for stage m = 2^s; |values| < growth * q.
     const double qs = static_cast<double>(q);
-    const D qd = Ops::set1d(qs);
-    const D qinv = Ops::set1d(1.0 / qs);
-
-    static thread_local std::vector<double> scratch;
-    if (scratch.size() < n)
-        scratch.resize(n);
-    double* pd = scratch.data();
-
-    // t = w*y mod q, balanced in (-q, q), exact (see header comment).
-    auto mulmod = [&](D w, D y) {
-        D h = Ops::muld(w, y);
-        D l = Ops::fmsubd(w, y, h);
-        D c = Ops::roundd(Ops::muld(h, qinv));
-        return Ops::addd(Ops::fnmaddd(c, qd, h), l);
-    };
-    auto butterfly = [&](D x, D y, D w, D* ox, D* oy) {
-        D t = mulmod(w, y);
-        *ox = Ops::addd(x, t);
-        *oy = Ops::subd(x, t);
-    };
-
-    // Entry: bit-reversed gather + convert + optional twist.
-    {
-        const size_t n_w = n / W;
-        unsigned wbits = 0;
-        while ((size_t{1} << wbits) < W)
-            ++wbits;
-        u64 goff[W];
-        for (size_t l = 0; l < W; ++l) {
-            size_t rl = 0;
-            for (unsigned b = 0; b < wbits; ++b)
-                rl |= ((l >> b) & 1) << (wbits - 1 - b);
-            goff[l] = rl * n_w;
-        }
-        const auto vidx = Ops::load(goff);
-        size_t j = 0; // bit-reverse of k over log2(n/W) bits
-        for (size_t k = 0; k < n_w; ++k) {
-            D x = Ops::u64ToFp(Ops::loadIdx(p + j, vidx));
-            if (pre_rev)
-                x = mulmod(Ops::loadd(pre_rev + k * W), x);
-            Ops::stored(pd + k * W, x);
-            size_t bit = n_w >> 1;
-            while (bit && (j & bit)) {
-                j ^= bit;
-                bit >>= 1;
-            }
-            j |= bit;
-        }
-    }
-
-    // Growth ledger: |values| < growth * q. A quotient tie in the sweep
-    // can leave a residue just past q/2, so a sweep books 0.6, not 0.5.
-    const double two53 = 9007199254740992.0;
-    const double bound_prod = 0.49 / 3.0 * two53 / qs;
-    const double bound_add = two53 / qs - 1.0;
+    const double bound_prod = 0.49 / 3.0 * 0x1p53 / qs;
+    const double bound_add = 0x1p53 / qs - 1.0;
     const double bound = bound_prod < bound_add ? bound_prod : bound_add;
+    bool reduce[64] = {};
     double growth = 1.0;
-    auto sweep = [&] {
-        for (size_t i = 0; i < n; i += W) {
-            D x = Ops::loadd(pd + i);
-            D c = Ops::roundd(Ops::muld(x, qinv));
-            Ops::stored(pd + i, Ops::fnmaddd(c, qd, x));
-        }
-        growth = 0.6;
-    };
-
-    for (size_t m = 1; m < n; m <<= 1) {
-        if (growth > bound)
-            sweep();
-        if (2 * m <= W) {
-            // Butterfly blocks fit inside a vector pair: lane l of the
-            // split-out x/y vectors uses twiddle j = l mod m.
-            double wbuf[W];
-            for (size_t l = 0; l < W; ++l)
-                wbuf[l] = tw[m + (l & (m - 1))];
-            const D w = Ops::loadd(wbuf);
-            for (size_t i = 0; i < n; i += 2 * W) {
-                D a = Ops::loadd(pd + i);
-                D b = Ops::loadd(pd + i + W);
-                D x, y;
-                Ops::split(a, b, m, &x, &y);
-                butterfly(x, y, w, &x, &y);
-                Ops::join(x, y, m, &a, &b);
-                Ops::stored(pd + i, a);
-                Ops::stored(pd + i + W, b);
-            }
-        } else {
-            for (size_t i = 0; i < n; i += 2 * m) {
-                double* x_ptr = pd + i;
-                double* y_ptr = pd + i + m;
-                for (size_t j = 0; j < m; j += W) {
-                    const D w = Ops::loadd(tw + m + j);
-                    D x = Ops::loadd(x_ptr + j);
-                    D y = Ops::loadd(y_ptr + j);
-                    butterfly(x, y, w, &x, &y);
-                    Ops::stored(x_ptr + j, x);
-                    Ops::stored(y_ptr + j, y);
-                }
-            }
-        }
+    for (unsigned s = 0; s < logn; ++s) {
+        reduce[s] = growth > bound;
+        if (reduce[s])
+            growth = 0.6;
         growth += 1.0;
     }
+    const bool reduce_exit = post != nullptr && growth > bound;
 
-    // Exit: post-multiply lands balanced in (-q, q) on its own; without
-    // one, a final sweep does. Then +q on the negatives -> canonical.
-    if (post && growth > bound)
-        sweep();
-    for (size_t i = 0; i < n; i += W) {
-        D x = Ops::loadd(pd + i);
-        if (post) {
-            x = mulmod(Ops::loadd(post + i), x);
-        } else {
-            D c = Ops::roundd(Ops::muld(x, qinv));
-            x = Ops::fnmaddd(c, qd, x);
+    double* pd = fpScratch<Ops>(n);
+
+    // Entry: stages 1 .. W/2 on row vectors, transpose, store blocks.
+    {
+        const size_t row = n / W;
+        const size_t groups = row / W;
+        D ew[W] = {};
+        for (size_t i = 1; i < W; ++i)
+            ew[i] = Ops::set1d(tw[i]);
+        size_t rg = 0; // column group index, bit-reversed over `groups`
+        for (size_t c = 0; c < row; c += W) {
+            D u[W];
+#pragma GCC unroll 8
+            for (size_t l = 0; l < W; ++l)
+                u[l] = Ops::u64ToFp(
+                    Ops::load(p + revBits(l, kLogW) * row + c));
+#pragma GCC unroll 3
+            for (unsigned s = 0; s < kLogW; ++s) {
+                const size_t m = size_t{1} << s;
+                if (reduce[s]) {
+#pragma GCC unroll 8
+                    for (size_t l = 0; l < W; ++l)
+                        u[l] = f.reduce(u[l]);
+                }
+#pragma GCC unroll 8
+                for (size_t l = 0; l < W; ++l)
+                    if ((l & m) == 0)
+                        f.bfly(u[l], u[l + m], ew[m + (l & (m - 1))]);
+            }
+            Ops::transpose(u);
+#pragma GCC unroll 8
+            for (size_t t = 0; t < W; ++t)
+                Ops::stored(pd + (rg + revBits(t, kLogW) * groups) * W, u[t]);
+            size_t bit = groups >> 1;
+            while (bit && (rg & bit)) {
+                rg ^= bit;
+                bit >>= 1;
+            }
+            rg |= bit;
         }
-        x = Ops::condAddQ(x, qd);
-        Ops::store(p + i, Ops::fpToU64(x));
     }
+
+    FpPass passes[64] = {};
+    size_t npass = 0;
+    for (unsigned s = kLogW; s < logn;) {
+        const bool r4 = s + 1 < logn;
+        passes[npass++] = {size_t{1} << s, r4, reduce[s], r4 && reduce[s + 1]};
+        s += r4 ? 2 : 1;
+    }
+
+    auto to_scratch = [pd](size_t k, D x) { Ops::stored(pd + k, x); };
+    auto to_output = [&](size_t k, D x) {
+        x = f.reduce(x);
+        Ops::store(p + k, Ops::fpToU64(Ops::condAddQ(x, f.qd)));
+    };
+    auto to_output_post = [&](size_t k, D x) {
+        if (reduce_exit)
+            x = f.reduce(x);
+        x = f.mulmod(Ops::loadd(post + k), x);
+        Ops::store(p + k, Ops::fpToU64(Ops::condAddQ(x, f.qd)));
+    };
+    auto run = [&](const FpPass& ps, size_t lo, size_t hi, auto store) {
+        const size_t m = ps.m;
+        if (!ps.radix4) {
+            for (size_t i = lo; i < hi; i += 2 * m) {
+                for (size_t j = 0; j < m; j += W) {
+                    D a = Ops::loadd(pd + i + j);
+                    D b = Ops::loadd(pd + i + m + j);
+                    if (ps.reduce_in) {
+                        a = f.reduce(a);
+                        b = f.reduce(b);
+                    }
+                    f.bfly(a, b, Ops::loadd(tw + m + j));
+                    store(i + j, a);
+                    store(i + m + j, b);
+                }
+            }
+            return;
+        }
+        for (size_t i = lo; i < hi; i += 4 * m) {
+            double* x = pd + i;
+            for (size_t j = 0; j < m; j += W) {
+                D a = Ops::loadd(x + j);
+                D b = Ops::loadd(x + m + j);
+                D c = Ops::loadd(x + 2 * m + j);
+                D d = Ops::loadd(x + 3 * m + j);
+                if (ps.reduce_in) {
+                    a = f.reduce(a);
+                    b = f.reduce(b);
+                    c = f.reduce(c);
+                    d = f.reduce(d);
+                }
+                const D w1 = Ops::loadd(tw + m + j);
+                f.bfly(a, b, w1);
+                f.bfly(c, d, w1);
+                if (ps.reduce_mid) {
+                    a = f.reduce(a);
+                    b = f.reduce(b);
+                    c = f.reduce(c);
+                    d = f.reduce(d);
+                }
+                f.bfly(a, c, Ops::loadd(tw + 2 * m + j));
+                f.bfly(b, d, Ops::loadd(tw + 3 * m + j));
+                store(i + j, a);
+                store(i + m + j, b);
+                store(i + 2 * m + j, c);
+                store(i + 3 * m + j, d);
+            }
+        }
+    };
+
+    // Passes whose span fits a chunk form a prefix (spans grow); the
+    // last pass spans all n, so it is chunk-local only when n fits.
+    const size_t chunk = n < kFpChunk ? n : kFpChunk;
+    size_t local = 0;
+    while (local < npass &&
+           passes[local].m * (passes[local].radix4 ? 4 : 2) <= chunk)
+        ++local;
+    auto run_pass = [&](size_t i, size_t lo, size_t hi) {
+        if (i + 1 < npass)
+            run(passes[i], lo, hi, to_scratch);
+        else if (post != nullptr)
+            run(passes[i], lo, hi, to_output_post);
+        else
+            run(passes[i], lo, hi, to_output);
+    };
+    for (size_t c0 = 0; c0 < n; c0 += chunk)
+        for (size_t i = 0; i < local; ++i)
+            run_pass(i, c0, c0 + chunk);
+    for (size_t i = local; i < npass; ++i)
+        run_pass(i, 0, n);
     return true;
 }
 

@@ -165,19 +165,20 @@ struct Kernels
                 u64* u, u64* v);
 
     /**
-     * Optional fused whole-NTT kernel: bit-reversal gather, optional
-     * pre-twist, every butterfly stage, and an optional post-multiply,
-     * leaving canonical residues in p. The caller supplies tables as
-     * doubles (exact images of the u64 tables, precomputed by
-     * NttTables when q < 2^50):
-     *   pre_rev — psi^bitrev(i) at index i, multiplied in during the
-     *             bit-reversed load (the forward twist); may be null.
-     *   tw      — full stage-twiddle table (stage-m slice at index m).
-     *   post    — pointwise multiplier applied on exit (the fused
-     *             inverse untwist-and-scale table); may be null.
-     * Returns false when (q, n) is outside the kernel's domain — the
-     * caller must then run the unfused path (twist / bitrev / stages /
-     * reduce). Null on backends without one.
+     * Optional fused whole-NTT kernel: a decimation-in-time transform
+     * that reads p in bit-reversed order, runs every butterfly stage
+     * with the stage twiddles tw (stage m's slice at tw + m, as in
+     * ntt_stage), writes natural order, then multiplies pointwise by
+     * `post` when it is non-null, leaving canonical residues in p. The
+     * caller supplies the tables as doubles (exact images of u64
+     * tables, precomputed by NttTables when q < 2^50): the forward
+     * transform passes its negacyclic twiddles, which fold the psi^i
+     * twist into the stages, and no post table; the inverse passes the
+     * cyclic inverse twiddles and the fused untwist-and-scale table.
+     * Returns false when (q, n) is outside the kernel's domain (q at or
+     * above 2^50, or n below lanes^2) — the caller must then run the
+     * unfused path (twist / bitrev / stages / reduce). Null on backends
+     * without one.
      *
      * The vector backends implement this with the error-free FMA
      * modmul (Dekker product + quotient rounding): every intermediate
@@ -185,8 +186,8 @@ struct Kernels
      * to the scalar path while a modular multiply costs ~6 FP ops
      * instead of ten 32x32 partial products.
      */
-    bool (*fp_transform)(u64* p, size_t n, const double* pre_rev,
-                         const double* tw, const double* post, u64 q);
+    bool (*fp_transform)(u64* p, size_t n, const double* tw,
+                         const double* post, u64 q);
 
     /**
      * Overshoot count of ConvMode::SignedExact:
@@ -213,6 +214,13 @@ struct Kernels
 
     /** a[i] = (a[i] - b[i]) mod q for canonical a, b. */
     void (*sub_mod_vec)(u64* a, const u64* b, size_t n, u64 q);
+
+    /**
+     * Signed lift: dst[i] = src[i] mod q in [0, q) for any 64-bit
+     * signed src[i], INT64_MIN included (Modulus::fromSigned per
+     * coefficient). dst and src may alias.
+     */
+    void (*from_signed)(u64* dst, const i64* src, size_t n, u64 q);
 };
 
 /** True when this process can execute `b` (CPUID + compile support). */

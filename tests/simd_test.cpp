@@ -176,30 +176,164 @@ TEST(SimdNtt, BitExactAcrossSizesAndPrimeShapes)
     }
 }
 
-/** forwardBatch must equal limb-by-limb forward() on every backend. */
+/** The input shapes of the exactness sweep, residues mod q. */
+std::vector<std::pair<const char*, std::vector<u64>>>
+nttInputs(size_t n, const Modulus& q)
+{
+    const u64 top = q.value() - 1;
+    std::vector<u64> alternating(n), impulse(n, 0);
+    for (size_t i = 0; i < n; ++i)
+        alternating[i] = i % 2 ? top : 0;
+    // Off index 0, so the impulse meets non-unit twiddles at every stage.
+    impulse[n / 2 + 1] = 1;
+    return {{"random", randomResidues(n, q, n + q.value())},
+            {"zero", std::vector<u64>(n, 0)},
+            {"q-1", std::vector<u64>(n, top)},
+            {"alternating", alternating},
+            {"impulse", impulse}};
+}
+
+/**
+ * Exactness sweep of the fused FP transform and the integer path on
+ * every runnable table against the scalar reference, forward and
+ * inverse. Sizes run from 8 to 2^16, so both sides of the FP entry's
+ * lanes^2 floor run (8 and 16 for AVX2, 32 and 64 for AVX-512), and so
+ * do the chunked and whole-scratch radix-4 passes.
+ * Widths: 28/33/45 bits never reduce mid-transform; 49 bits reduces
+ * every third stage, which lands on both a pass's input and its middle
+ * for both lane counts; the largest NTT prime below 2^50 reduces before
+ * every stage after the first and before the inverse's exit multiply;
+ * 53 bits takes the integer path.
+ *
+ * Kernel mutations checked against this case (each made in a copy of
+ * the kernel, then this test run): a wrong broadcast twiddle index in
+ * the in-register entry stages and a transposed block stored at
+ * column + t instead of rev(column + t) both fail on random inputs at
+ * every size and width the FP kernel takes; a ledger that never
+ * reduces fails at 50 bits. Dropping only the mid-pass reduction
+ * changes no output: the ledger's product bound keeps a 1.5x margin,
+ * and one skipped reduction per pass leaves every value exact and the
+ * exit canonical, so that guard is held by the ledger's proof (see
+ * kernels_vec_inl.h), not by an output this test can see.
+ */
+TEST(SimdNtt, ExactnessSweepAcrossTablesSizesWidthsAndInputs)
+{
+    const auto tables = vectorTables();
+    if (tables.empty())
+        GTEST_SKIP() << "no vector table runnable on this host";
+    const size_t max_n = size_t{1} << 16;
+    for (unsigned bits : {28u, 33u, 45u, 49u, 50u, 53u}) {
+        // Primes = 1 mod 2^17 serve every size; 50 scans down from 2^50.
+        const Modulus q(generateNttPrimes(bits, max_n, 1)[0]);
+        for (size_t n = 8; n <= max_n; n *= 2) {
+            const NttTables tab(n, q);
+            for (const auto& [shape, input] : nttInputs(n, q)) {
+                auto fwd_ref = input;
+                auto inv_ref = input;
+                {
+                    ScopedBackend sb(simd::Backend::Scalar);
+                    tab.forward(fwd_ref.data());
+                    tab.inverse(inv_ref.data());
+                }
+                for (const Table& t : tables) {
+                    ScopedKernels sk(t.k);
+                    auto fwd = input;
+                    tab.forward(fwd.data());
+                    ASSERT_EQ(fwd, fwd_ref) << t.label << " forward n=" << n
+                                            << " bits=" << bits << " "
+                                            << shape;
+                    auto inv = input;
+                    tab.inverse(inv.data());
+                    ASSERT_EQ(inv, inv_ref) << t.label << " inverse n=" << n
+                                            << " bits=" << bits << " "
+                                            << shape;
+                }
+            }
+        }
+    }
+}
+
+/** forwardBatch/inverseBatch over 3 limbs must equal limb-by-limb
+ *  forward()/inverse() on every table, on both sides of the FP domain. */
 TEST(SimdNtt, BatchMatchesPerLimb)
 {
-    const size_t n = 2048;
-    const Modulus q(generateNttPrimes(45, n, 1)[0]);
-    const NttTables tab(n, q);
+    for (size_t n : {size_t{64}, size_t{2048}}) {
+        for (unsigned bits : {45u, 50u, 53u}) {
+            const Modulus q(generateNttPrimes(bits, n, 1)[0]);
+            const NttTables tab(n, q);
+            std::vector<std::vector<u64>> ref(3);
+            for (size_t i = 0; i < ref.size(); ++i)
+                ref[i] = randomResidues(n, q, 50 + i);
 
-    std::vector<std::vector<u64>> ref(3);
-    for (size_t i = 0; i < ref.size(); ++i)
-        ref[i] = randomResidues(n, q, 50 + i);
-    auto batch = ref;
+            for (const Table& t : vectorTables()) {
+                ScopedKernels sk(t.k);
+                for (bool inverse : {false, true}) {
+                    auto per_limb = ref;
+                    for (auto& limb : per_limb)
+                        inverse ? tab.inverse(limb.data())
+                                : tab.forward(limb.data());
+                    auto batched = ref;
+                    std::vector<u64*> ptrs;
+                    for (auto& limb : batched)
+                        ptrs.push_back(limb.data());
+                    if (inverse)
+                        tab.inverseBatch(ptrs.data(), ptrs.size());
+                    else
+                        tab.forwardBatch(ptrs.data(), ptrs.size());
+                    EXPECT_EQ(batched, per_limb)
+                        << t.label << (inverse ? " inverse" : " forward")
+                        << " n=" << n << " bits=" << bits;
+                }
+            }
+        }
+    }
+}
 
-    ScopedBackend restore(simd::Backend::Scalar);
-    for (simd::Backend b : vectorBackends()) {
-        simd::setBackend(b);
-        auto per_limb = ref;
-        for (auto& limb : per_limb)
-            tab.forward(limb.data());
-        auto batched = batch;
-        std::vector<u64*> ptrs;
-        for (auto& limb : batched)
-            ptrs.push_back(limb.data());
-        tab.forwardBatch(ptrs.data(), ptrs.size());
-        EXPECT_EQ(batched, per_limb) << simd::backendName(b);
+/**
+ * The signed lift must match Modulus::fromSigned on every table at the
+ * edges of both ranges: INT64_MIN (whose magnitude only fits unsigned),
+ * INT64_MAX, 0, +-(q-1), +-q, and multiples k*q with their neighbours,
+ * with n off the lane grid so the scalar tail runs too.
+ */
+TEST(SimdPointwise, FromSignedBitExactAtEdgeValues)
+{
+    for (unsigned bits : {30u, 45u, 53u, 61u}) {
+        const Modulus q(generateNttPrimes(bits, 1 << 8, 1)[0]);
+        const i64 qs = static_cast<i64>(q.value());
+        std::vector<i64> v = {INT64_MIN, INT64_MAX, 0, qs - 1, -(qs - 1),
+                              qs,        -qs,       1, -1};
+        const i64 kmax = INT64_MAX / qs;
+        for (i64 k : {i64{2}, i64{3}, i64{1000}, kmax}) {
+            if (k > kmax)
+                continue;
+            const i64 kq = k * qs;
+            for (i64 x : {kq - 1, kq, kq == INT64_MAX ? kq : kq + 1}) {
+                v.push_back(x);
+                v.push_back(-x);
+            }
+        }
+        Prng rng(bits);
+        while (v.size() < 61) // 61: not a multiple of 4 or 8
+            v.push_back(static_cast<i64>(rng.next()));
+
+        std::vector<u64> ref(v.size());
+        simd::scalarKernels()->from_signed(ref.data(), v.data(), v.size(),
+                                           q.value());
+        for (size_t i = 0; i < v.size(); ++i)
+            ASSERT_EQ(ref[i], q.fromSigned(v[i])) << "value " << v[i];
+        for (const Table& t : vectorTables()) {
+            std::vector<u64> out(v.size());
+            t.k->from_signed(out.data(), v.data(), v.size(), q.value());
+            EXPECT_EQ(out, ref) << t.label << " bits=" << bits;
+            // In place, as callers lift a centered buffer over itself.
+            std::vector<i64> inplace = v;
+            t.k->from_signed(reinterpret_cast<u64*>(inplace.data()),
+                             inplace.data(), inplace.size(), q.value());
+            EXPECT_EQ(std::memcmp(inplace.data(), ref.data(),
+                                  ref.size() * sizeof(u64)),
+                      0)
+                << t.label << " in place, bits=" << bits;
+        }
     }
 }
 
@@ -669,21 +803,28 @@ TEST(SimdMac, BitExactIncludingTails)
 
 /**
  * The fused FP transform must refuse inputs outside its proven domain
- * (q >= 2^50, or rings too small to fill a vector) so the caller falls
- * back to the integer path instead of silently losing exactness.
+ * (q >= 2^50, or rings smaller than one lanes x lanes column group of
+ * its transposing entry) so the caller falls back to the integer path
+ * instead of silently losing exactness.
  */
 TEST(SimdFp, TransformRejectsOutOfDomainInputs)
 {
     for (const Table& t : vectorTables()) {
         const simd::Kernels* V = t.k;
         ASSERT_NE(V->fp_transform, nullptr) << t.label;
-        u64 buf[16] = {0};
+        const size_t smallest = V->lanes * V->lanes;
+        std::vector<u64> buf(smallest, 0);
         // 54-bit modulus: the 2^53 error-free multiply budget is gone.
-        EXPECT_FALSE(V->fp_transform(buf, 16, nullptr, nullptr, nullptr,
-                                     (1ULL << 54) + 1));
-        // Ring smaller than two vectors: no room for the lane shuffles.
-        EXPECT_FALSE(V->fp_transform(buf, V->lanes, nullptr, nullptr,
-                                     nullptr, (1ULL << 45) + 1));
+        EXPECT_FALSE(V->fp_transform(buf.data(), smallest, nullptr, nullptr,
+                                     (1ULL << 54) + 1))
+            << t.label;
+        // Rings below lanes^2 cannot fill the entry's W x W transpose.
+        EXPECT_FALSE(V->fp_transform(buf.data(), smallest / 2, nullptr,
+                                     nullptr, (1ULL << 45) + 1))
+            << t.label;
+        EXPECT_FALSE(V->fp_transform(buf.data(), V->lanes, nullptr, nullptr,
+                                     (1ULL << 45) + 1))
+            << t.label;
     }
 }
 
